@@ -661,8 +661,11 @@ void FaasPlatform::ReleaseToWarmPool(Container* container) {
   }
   warm_pools_[container->function].push_back(container->id);
   const uint64_t cid = container->id;
-  container->keep_alive_event = sim_->Schedule(
-      config_.keep_alive_us, [this, cid] { DestroyContainer(cid); });
+  container->keep_alive_event =
+      sim_->Schedule(config_.keep_alive_us, [this, cid] {
+        DestroyContainer(cid);
+        DrainPending();  // the freed slot may admit a queued invocation
+      });
   DrainPending();
 }
 
@@ -1104,6 +1107,7 @@ void FaasPlatform::FlushWarmPool() {
     }
     DestroyContainer(id);
   }
+  DrainPending();  // freed capacity may admit a queued invocation
 }
 
 }  // namespace taureau::faas

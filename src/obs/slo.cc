@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <iterator>
 
 namespace taureau::obs {
 
@@ -12,8 +13,13 @@ void SloEngine::AddObjective(SloObjective objective) {
   for (const BurnRatePolicy& p : objective.policies) {
     st.max_window_us = std::max(
         st.max_window_us, std::max(p.long_window_us, p.short_window_us));
-    st.agg.firing[p.name] = false;
+    st.policies_by_name.push_back(st.policies_by_name.size());
   }
+  std::stable_sort(st.policies_by_name.begin(), st.policies_by_name.end(),
+                   [&](size_t a, size_t b) {
+                     return objective.policies[a].name <
+                            objective.policies[b].name;
+                   });
   if (objective.per_tenant) {
     objective.max_tenant_series = std::max<size_t>(objective.max_tenant_series, 1);
     st.popularity =
@@ -97,10 +103,11 @@ void SloEngine::Demote(State* st, const std::string& tenant, SimTime at_us) {
   if (it == st->tenants.end()) return;
   Track& victim = it->second;
   // Clear any firing alerts so IsTenantFiring never reports a ghost.
-  for (auto& [policy, firing] : victim.firing) {
-    if (!firing) continue;
-    firing = false;
-    alerts_.push_back({at_us, st->spec.name, policy, tenant, false, 0.0, 0.0});
+  for (size_t i : st->policies_by_name) {
+    if (i >= victim.firing.size() || !victim.firing[i]) continue;
+    victim.firing[i] = 0;
+    alerts_.push_back({at_us, st->spec.name, st->spec.policies[i].name, tenant,
+                       false, 0.0, 0.0});
   }
   Track& other = st->tenants[kOtherTenant];
   other.total += victim.total;
@@ -117,11 +124,14 @@ void SloEngine::Score(State* st, Track* tr, const std::string& tenant,
   ++tr->total;
   if (!good) ++tr->bad;
   if (st->max_window_us > 0) {
-    tr->window.push_back({at_us, good});
+    const uint64_t bad_before =
+        tr->window.empty() ? tr->aged_bad : tr->window.back().bad_through;
+    tr->window.push_back({at_us, bad_before + (good ? 0 : 1)});
     // Window semantics are (now - W, now]: an event exactly W old has
     // aged out.
     while (!tr->window.empty() &&
            tr->window.front().at_us <= at_us - st->max_window_us) {
+      tr->aged_bad = tr->window.front().bad_through;
       tr->window.pop_front();
     }
   }
@@ -141,14 +151,18 @@ SimDuration SloEngine::SlowBudgetFor(const std::string& module) const {
 
 double SloEngine::WindowBurn(const Track& tr, double target,
                              SimDuration window_us, SimTime now_us) const {
-  uint64_t total = 0;
-  uint64_t bad = 0;
-  for (auto it = tr.window.rbegin(); it != tr.window.rend(); ++it) {
-    if (it->at_us <= now_us - window_us) break;
-    ++total;
-    if (!it->good) ++bad;
-  }
+  // The window is sorted by time (Record clamps regressions), so the
+  // events in (now - W, now] — plus any newer than `now` when the query
+  // looks into the past — are exactly the suffix after the last event at
+  // or before now - W. Its bad count is a difference of running counts.
+  const auto first = std::upper_bound(
+      tr.window.begin(), tr.window.end(), now_us - window_us,
+      [](SimTime cutoff, const Event& e) { return cutoff < e.at_us; });
+  const uint64_t total = static_cast<uint64_t>(tr.window.end() - first);
   if (total == 0) return 0.0;
+  const uint64_t bad_before =
+      first == tr.window.begin() ? tr.aged_bad : std::prev(first)->bad_through;
+  const uint64_t bad = tr.window.back().bad_through - bad_before;
   const double bad_fraction = double(bad) / double(total);
   const double budget = 1.0 - target;
   return budget > 0 ? bad_fraction / budget : (bad > 0 ? 1e18 : 0.0);
@@ -156,16 +170,18 @@ double SloEngine::WindowBurn(const Track& tr, double target,
 
 void SloEngine::Evaluate(State* st, Track* tr, const std::string& tenant,
                          SimTime now_us) {
-  for (const BurnRatePolicy& p : st->spec.policies) {
+  const std::vector<BurnRatePolicy>& policies = st->spec.policies;
+  tr->firing.resize(policies.size(), 0);
+  for (size_t i = 0; i < policies.size(); ++i) {
+    const BurnRatePolicy& p = policies[i];
     const double burn_long =
         WindowBurn(*tr, st->spec.target, p.long_window_us, now_us);
     const double burn_short =
         WindowBurn(*tr, st->spec.target, p.short_window_us, now_us);
     const bool fire =
         burn_long >= p.burn_threshold && burn_short >= p.burn_threshold;
-    bool& firing = tr->firing[p.name];
-    if (fire == firing) continue;
-    firing = fire;
+    if (fire == bool(tr->firing[i])) continue;
+    tr->firing[i] = fire;
     alerts_.push_back(
         {now_us, st->spec.name, p.name, tenant, fire, burn_long, burn_short});
   }
@@ -202,9 +218,19 @@ uint64_t SloEngine::BadEvents(const std::string& objective) const {
 bool SloEngine::IsFiring(const std::string& objective,
                          const std::string& policy) const {
   const auto it = objectives_.find(objective);
-  if (it == objectives_.end()) return false;
-  const auto pit = it->second.agg.firing.find(policy);
-  return pit != it->second.agg.firing.end() && pit->second;
+  return it != objectives_.end() &&
+         TrackFiring(it->second, it->second.agg, policy);
+}
+
+bool SloEngine::TrackFiring(const State& st, const Track& tr,
+                            const std::string& policy) {
+  const std::vector<BurnRatePolicy>& policies = st.spec.policies;
+  for (size_t i = 0; i < policies.size(); ++i) {
+    if (policies[i].name == policy) {
+      return i < tr.firing.size() && tr.firing[i];
+    }
+  }
+  return false;
 }
 
 const SloEngine::Track* SloEngine::FindTenant(const std::string& objective,
@@ -240,9 +266,7 @@ bool SloEngine::IsTenantFiring(const std::string& objective,
                                const std::string& tenant,
                                const std::string& policy) const {
   const Track* tr = FindTenant(objective, tenant);
-  if (tr == nullptr) return false;
-  const auto pit = tr->firing.find(policy);
-  return pit != tr->firing.end() && pit->second;
+  return tr != nullptr && TrackFiring(objectives_.at(objective), *tr, policy);
 }
 
 std::vector<std::string> SloEngine::MaterializedTenants(

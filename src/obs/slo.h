@@ -28,6 +28,14 @@
 // requires non-decreasing timestamps: a regression trips an assert in
 // debug builds (unless AllowClockRegression(true)) and is clamped to the
 // previous timestamp — and counted — in release builds.
+//
+// Cost: each track keeps the events inside its objective's longest window
+// in timestamp order, each tagged with the track's running count of bad
+// events pushed so far. A window query is then one binary search plus a
+// subtraction, so Record() costs objectives x tracks (aggregate, plus the
+// tenant's on per-tenant objectives) x policies x 2 windows x O(log
+// window events), and BurnRate()/TenantBurnRate() cost O(log window
+// events). Memory is 16 B per event inside the longest window, per track.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +57,7 @@ inline constexpr const char kOtherTenant[] = "__other__";
 
 /// One alerting rule attached to an objective.
 struct BurnRatePolicy {
-  std::string name;             ///< "page", "ticket", ...
+  std::string name;  ///< "page", "ticket", ...; unique within its objective.
   SimDuration long_window_us = 0;
   SimDuration short_window_us = 0;
   double burn_threshold = 1.0;  ///< Fire when both windows burn >= this.
@@ -171,19 +179,26 @@ class SloEngine {
  private:
   struct Event {
     SimTime at_us;
-    bool good;
+    /// Bad events pushed into this track's window up to and including
+    /// this one (a running count: only grows, never folded by Demote).
+    uint64_t bad_through;
   };
   /// One burn-rate accounting unit: the module aggregate, or one tenant.
   struct Track {
     uint64_t total = 0;
     uint64_t bad = 0;
-    std::deque<Event> window;      ///< Events within the longest window.
-    std::map<std::string, bool> firing;  ///< By policy name.
-    uint64_t attribution_bound = 0;      ///< See TenantAttributionBound.
+    std::deque<Event> window;  ///< Events within the longest window.
+    /// `bad_through` of the last event aged off the window's front.
+    uint64_t aged_bad = 0;
+    std::vector<uint8_t> firing;     ///< By policy position; sized lazily.
+    uint64_t attribution_bound = 0;  ///< See TenantAttributionBound.
   };
   struct State {
     SloObjective spec;
     SimDuration max_window_us = 0;
+    /// Policy positions sorted by policy name: the order Demote clears
+    /// firing alerts in.
+    std::vector<size_t> policies_by_name;
     Track agg;
     std::map<std::string, Track> tenants;  ///< Materialized + kOtherTenant.
     std::unique_ptr<sketch::SpaceSaving> popularity;  ///< per_tenant only.
@@ -206,6 +221,9 @@ class SloEngine {
   void Demote(State* st, const std::string& tenant, SimTime at_us);
   const Track* FindTenant(const std::string& objective,
                           const std::string& tenant) const;
+  /// Whether `tr` fires `policy` of `st` (first policy with that name).
+  static bool TrackFiring(const State& st, const Track& tr,
+                          const std::string& policy);
 
   std::map<std::string, State> objectives_;
   std::vector<AlertEvent> alerts_;

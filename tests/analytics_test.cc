@@ -41,9 +41,9 @@ TEST(MapReduceTest, WordCountCorrect) {
   std::vector<std::string> input = {
       "the quick brown fox", "the lazy dog", "the fox jumps"};
   std::vector<std::string> output;
-  auto stats = RunMapReduce(input, WordCountMap(), WordCountReduce(),
-                            &shuffle, {.num_mappers = 2, .num_reducers = 4},
-                            &output);
+  auto stats = RunMapReduce(
+      input, WordCountMap(), WordCountReduce(), &shuffle,
+      {.num_mappers = 2, .num_reducers = 4, .task_model = {}}, &output);
   ASSERT_TRUE(stats.ok());
   std::map<std::string, int> counts;
   for (const std::string& line : output) {
@@ -70,8 +70,9 @@ TEST(MapReduceTest, SortProducesKeyOrder) {
   std::vector<std::string> input = {"delta\t4", "alpha\t1", "charlie\t3",
                                     "bravo\t2"};
   std::vector<std::string> output;
-  auto stats = RunMapReduce(input, IdentityKeyMap(), ConcatReduce(), &shuffle,
-                            {.num_mappers = 2, .num_reducers = 2}, &output);
+  auto stats = RunMapReduce(
+      input, IdentityKeyMap(), ConcatReduce(), &shuffle,
+      {.num_mappers = 2, .num_reducers = 2, .task_model = {}}, &output);
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(output.size(), 4u);
   EXPECT_EQ(output[0].substr(0, 5), "alpha");
@@ -93,7 +94,8 @@ TEST(MapReduceTest, BlobShuffleSameAnswerSlower) {
     input.push_back("word" + std::to_string(rng.NextBounded(30)) + " filler");
   }
   std::vector<std::string> out_j, out_b;
-  MapReduceConfig cfg{.num_mappers = 4, .num_reducers = 4};
+  MapReduceConfig cfg{
+      .num_mappers = 4, .num_reducers = 4, .task_model = {}};
   auto sj = RunMapReduce(input, WordCountMap(), WordCountReduce(), &jshuffle,
                          cfg, &out_j);
   auto sb = RunMapReduce(input, WordCountMap(), WordCountReduce(), &bshuffle,
@@ -110,10 +112,12 @@ TEST(MapReduceTest, InvalidConfigRejected) {
   JiffyShuffle shuffle(&f.jiffy, "/x", 1);
   ASSERT_TRUE(shuffle.Init().ok());
   std::vector<std::string> output;
-  EXPECT_TRUE(RunMapReduce({}, WordCountMap(), WordCountReduce(), &shuffle,
-                           {.num_mappers = 0, .num_reducers = 1}, &output)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      RunMapReduce({}, WordCountMap(), WordCountReduce(), &shuffle,
+                   {.num_mappers = 0, .num_reducers = 1, .task_model = {}},
+                   &output)
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(MapReduceTest, MoreReducersShrinkReduceStage) {
@@ -130,7 +134,10 @@ TEST(MapReduceTest, MoreReducersShrinkReduceStage) {
     std::vector<std::string> output;
     auto stats =
         RunMapReduce(input, WordCountMap(), WordCountReduce(), &shuffle,
-                     {.num_mappers = 4, .num_reducers = reducers}, &output);
+                     {.num_mappers = 4,
+                      .num_reducers = reducers,
+                      .task_model = {}},
+                     &output);
     EXPECT_TRUE(stats.ok());
     return stats->reduce_stage_us;
   };
@@ -385,7 +392,8 @@ TEST(SequenceTest, ScoreSymmetry) {
 TEST(SequenceTest, AllPairsCoversEverything) {
   auto seqs = GenerateProteinSet(40, 150, 250, 53);
   std::vector<PairScore> scores;
-  auto stats = AllPairsCompare(seqs, {.num_workers = 4}, &scores);
+  auto stats =
+      AllPairsCompare(seqs, {.num_workers = 4, .scoring = {}}, &scores);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(scores.size(), 40u * 39 / 2);
   EXPECT_EQ(stats->pairs, scores.size());
@@ -400,7 +408,8 @@ TEST(SequenceTest, SelfSimilarityDetectable) {
   dup[10] = dup[10] == 'A' ? 'C' : 'A';
   seqs.push_back(dup);
   std::vector<PairScore> scores;
-  ASSERT_TRUE(AllPairsCompare(seqs, {.num_workers = 2}, &scores).ok());
+  ASSERT_TRUE(
+      AllPairsCompare(seqs, {.num_workers = 2, .scoring = {}}, &scores).ok());
   int dup_score = 0, other_max = 0;
   for (const auto& p : scores) {
     if (p.a == 0 && p.b == 5) {
@@ -417,7 +426,7 @@ TEST(SequenceTest, Validation) {
   EXPECT_TRUE(AllPairsCompare({"A"}, {}, &scores).status()
                   .IsInvalidArgument());
   auto seqs = GenerateProteinSet(3, 10, 20, 61);
-  EXPECT_TRUE(AllPairsCompare(seqs, {.num_workers = 0}, &scores)
+  EXPECT_TRUE(AllPairsCompare(seqs, {.num_workers = 0, .scoring = {}}, &scores)
                   .status()
                   .IsInvalidArgument());
 }

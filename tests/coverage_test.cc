@@ -66,7 +66,10 @@ TEST(HistogramDepthTest, QuantileClampsOutOfRange) {
 
 TEST(ServerPoolDepthTest, InstrumentationDuringRun) {
   sim::Simulation sim;
-  faas::ServerPool pool(&sim, {.num_servers = 2, .per_server_concurrency = 1});
+  faas::ServerPool pool(&sim, {.num_servers = 2,
+                               .per_server_concurrency = 1,
+                               .breaker = {},
+                               .admission = {}});
   for (int i = 0; i < 5; ++i) pool.Submit(kSecond);
   EXPECT_EQ(pool.busy_slots(), 2u);
   EXPECT_EQ(pool.queue_depth(), 3u);
@@ -188,7 +191,7 @@ TEST(PulsarDepthTest, FunctionWithoutOutputTopicCannotPublish) {
   ASSERT_TRUE(pulsar.CreateTopic("in", {}).ok());
   Status publish_status;
   pubsub::FunctionWorker fn(
-      &pulsar, {.name = "sink", .input_topic = "in"},
+      &pulsar, {.name = "sink", .input_topic = "in", .output_topic = {}},
       [&](const pubsub::Message&, pubsub::FunctionContext& ctx) {
         publish_status = ctx.Publish("out");
         return Status::OK();  // function itself still succeeds
@@ -202,7 +205,7 @@ TEST(PulsarDepthTest, FunctionWithoutOutputTopicCannotPublish) {
 TEST(PulsarDepthTest, RecoveredBrokerServesAgain) {
   sim::Simulation sim;
   pubsub::PulsarCluster pulsar(&sim, pubsub::PulsarConfig{});
-  ASSERT_TRUE(pulsar.CreateTopic("t", {.partitions = 3}).ok());
+  ASSERT_TRUE(pulsar.CreateTopic("t", {.tenant = {}, .partitions = 3}).ok());
   ASSERT_TRUE(pulsar.CrashBroker(0).ok());
   ASSERT_TRUE(pulsar.RecoverBroker(0).ok());
   int got = 0;

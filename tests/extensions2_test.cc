@@ -21,13 +21,15 @@ namespace {
 
 struct GeoFixture {
   sim::Simulation sim;
-  pubsub::PulsarCluster us{&sim, pubsub::PulsarConfig{.seed = 1}};
-  pubsub::PulsarCluster eu{&sim, pubsub::PulsarConfig{.seed = 2}};
+  pubsub::PulsarCluster us{&sim,
+                           pubsub::PulsarConfig{.seed = 1, .admission = {}}};
+  pubsub::PulsarCluster eu{&sim,
+                           pubsub::PulsarConfig{.seed = 2, .admission = {}}};
   pubsub::GeoReplicator geo{&sim, &us, "us", &eu, "eu", 60 * kMillisecond};
 
   GeoFixture() {
-    EXPECT_TRUE(us.CreateTopic("orders", {.partitions = 2}).ok());
-    EXPECT_TRUE(eu.CreateTopic("orders", {.partitions = 2}).ok());
+    EXPECT_TRUE(us.CreateTopic("orders", {.tenant = {}, .partitions = 2}).ok());
+    EXPECT_TRUE(eu.CreateTopic("orders", {.tenant = {}, .partitions = 2}).ok());
     EXPECT_TRUE(geo.ReplicateTopic("orders").ok());
   }
 };

@@ -21,7 +21,7 @@ struct TrimFixture {
   std::vector<pubsub::MessageId> delivered;
 
   TrimFixture() {
-    EXPECT_TRUE(pulsar.CreateTopic("t", {.partitions = 1}).ok());
+    EXPECT_TRUE(pulsar.CreateTopic("t", {.tenant = {}, .partitions = 1}).ok());
     auto c = pulsar.Subscribe("t", "sub", pubsub::SubscriptionType::kShared,
                               [this](const pubsub::Message& m) {
                                 delivered.push_back(m.id);
@@ -61,7 +61,9 @@ TEST(BacklogTrimTest, UnackedMessagesRetained) {
   ASSERT_EQ(f.delivered.size(), 10u);
   // Ack everything except the 4th message: the floor stops there.
   for (size_t i = 0; i < f.delivered.size(); ++i) {
-    if (i != 3) ASSERT_TRUE(f.pulsar.Ack(f.consumer, f.delivered[i]).ok());
+    if (i != 3) {
+      ASSERT_TRUE(f.pulsar.Ack(f.consumer, f.delivered[i]).ok());
+    }
   }
   auto trimmed = f.pulsar.TrimConsumedBacklog("t");
   ASSERT_TRUE(trimmed.ok());
@@ -75,7 +77,7 @@ TEST(BacklogTrimTest, UnackedMessagesRetained) {
 TEST(BacklogTrimTest, SlowestSubscriptionGovernsRetention) {
   sim::Simulation sim;
   pubsub::PulsarCluster pulsar{&sim, pubsub::PulsarConfig{}};
-  ASSERT_TRUE(pulsar.CreateTopic("t", {.partitions = 1}).ok());
+  ASSERT_TRUE(pulsar.CreateTopic("t", {.tenant = {}, .partitions = 1}).ok());
   std::vector<pubsub::MessageId> fast_ids;
   auto fast = pulsar.Subscribe("t", "fast", pubsub::SubscriptionType::kShared,
                                [&](const pubsub::Message& m) {

@@ -266,6 +266,52 @@ TEST(FaasPlatformTest, QueueDrainsWhenCapacityFrees) {
   EXPECT_EQ(f.platform->metrics().warm_starts, 4u);
 }
 
+// Capacity freed by something other than a finishing attempt must still
+// admit queued work. Two idle "a" containers fill the only machine, so a
+// "b" invoked at 500 ms queues until a slot frees: at the keep-alive
+// teardown, or at `flush_at_us` when that is > 0 (FlushWarmPool).
+void ExpectQueuedInvokeAdmitted(SimDuration keep_alive_us,
+                                SimTime flush_at_us) {
+  sim::Simulation sim;
+  cluster::Cluster cluster(1, {1000, 2048});  // Room for two containers.
+  FaasConfig config;
+  config.keep_alive_us = keep_alive_us;
+  FaasPlatform platform(&sim, &cluster, config);
+  for (const char* name : {"a", "b"}) {
+    FunctionSpec spec;
+    spec.name = name;
+    spec.demand = {500, 256};
+    spec.exec = {ExecTimeModel::Kind::kFixed, 10 * kMillisecond, 0, 0};
+    ASSERT_TRUE(platform.RegisterFunction(std::move(spec)).ok());
+  }
+  ASSERT_TRUE(platform.Invoke("a", "1", [](const InvocationResult&) {}).ok());
+  ASSERT_TRUE(platform.Invoke("a", "2", [](const InvocationResult&) {}).ok());
+  int callbacks_b = 0;
+  sim.ScheduleAt(500 * kMillisecond, [&] {
+    ASSERT_TRUE(platform
+                    .Invoke("b", "3",
+                            [&](const InvocationResult& r) {
+                              EXPECT_TRUE(r.status.ok());
+                              ++callbacks_b;
+                            })
+                    .ok());
+  });
+  if (flush_at_us > 0) {
+    sim.ScheduleAt(flush_at_us, [&] { platform.FlushWarmPool(); });
+  }
+  sim.Run();
+  EXPECT_EQ(callbacks_b, 1);
+  EXPECT_EQ(platform.pending_queue_depth(), 0u);
+}
+
+TEST(FaasPlatformTest, KeepAliveTeardownDrainsQueue) {
+  ExpectQueuedInvokeAdmitted(1 * kSecond, /*flush_at_us=*/0);
+}
+
+TEST(FaasPlatformTest, FlushWarmPoolDrainsQueue) {
+  ExpectQueuedInvokeAdmitted(1 * kMinute, /*flush_at_us=*/600 * kMillisecond);
+}
+
 // -------------------------------------------------------------- Handlers
 
 TEST(FaasPlatformTest, HandlerReceivesPayloadAndContext) {
@@ -353,7 +399,9 @@ TEST(BillingTest, FinerQuantumNeverCostsMore) {
 
 TEST(ServerPoolTest, ServesWithinCapacityImmediately) {
   sim::Simulation sim;
-  ServerPool pool(&sim, {.num_servers = 2, .per_server_concurrency = 2});
+  ServerPool pool(&sim, {.num_servers = 2, .per_server_concurrency = 2,
+                         .breaker = {},
+                         .admission = {}});
   int done = 0;
   for (int i = 0; i < 4; ++i) {
     pool.Submit(kSecond, [&](SimDuration wait) {
@@ -368,7 +416,9 @@ TEST(ServerPoolTest, ServesWithinCapacityImmediately) {
 
 TEST(ServerPoolTest, QueuesBeyondCapacity) {
   sim::Simulation sim;
-  ServerPool pool(&sim, {.num_servers = 1, .per_server_concurrency = 1});
+  ServerPool pool(&sim, {.num_servers = 1, .per_server_concurrency = 1,
+                         .breaker = {},
+                         .admission = {}});
   std::vector<SimDuration> waits;
   for (int i = 0; i < 3; ++i) {
     pool.Submit(kSecond, [&](SimDuration wait) { waits.push_back(wait); });
@@ -382,7 +432,9 @@ TEST(ServerPoolTest, QueuesBeyondCapacity) {
 
 TEST(ServerPoolTest, UtilizationIntegral) {
   sim::Simulation sim;
-  ServerPool pool(&sim, {.num_servers = 1, .per_server_concurrency = 1});
+  ServerPool pool(&sim, {.num_servers = 1, .per_server_concurrency = 1,
+                         .breaker = {},
+                         .admission = {}});
   pool.Submit(kSecond);
   sim.Run();
   sim.RunUntil(2 * kSecond);
@@ -393,7 +445,9 @@ TEST(ServerPoolTest, ReservedCostIndependentOfLoad) {
   sim::Simulation sim;
   ServerPool pool(&sim, {.num_servers = 3,
                          .per_server_concurrency = 1,
-                         .machine_hour_price = Money::FromDollars(0.10)});
+                         .machine_hour_price = Money::FromDollars(0.10),
+                         .breaker = {},
+                         .admission = {}});
   EXPECT_EQ(pool.CostFor(kHour).nano_dollars(), 300000000);  // $0.30
 }
 

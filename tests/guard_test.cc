@@ -856,7 +856,7 @@ TEST(PubsubGuardTest, ShedsPublishesOnBacklogAndDeadline) {
   pubsub::PulsarCluster cluster(&sim, cfg);
   Guard guard;
   cluster.AttachGuard(&guard);
-  ASSERT_TRUE(cluster.CreateTopic("t", {.partitions = 1}).ok());
+  ASSERT_TRUE(cluster.CreateTopic("t", {.tenant = {}, .partitions = 1}).ok());
 
   // Each publish adds >=500us of broker backlog; past ~4 the wait bound
   // trips and the rest shed.

@@ -173,7 +173,8 @@ TEST(IntegrationTest, StreamingAnalyticsPulsarPlusSketches) {
   // clickstream, with results published to an output topic.
   sim::Simulation sim;
   pubsub::PulsarCluster pulsar(&sim, pubsub::PulsarConfig{});
-  ASSERT_TRUE(pulsar.CreateTopic("clicks", {.partitions = 4}).ok());
+  ASSERT_TRUE(
+      pulsar.CreateTopic("clicks", {.tenant = {}, .partitions = 4}).ok());
   ASSERT_TRUE(pulsar.CreateTopic("stats", {}).ok());
 
   sketch::HyperLogLog hll(12);
@@ -232,7 +233,8 @@ TEST(IntegrationTest, MapReduceWithLeaseCleanup) {
   std::vector<std::string> output;
   auto stats = analytics::RunMapReduce(
       input, analytics::WordCountMap(), analytics::WordCountReduce(),
-      &shuffle, {.num_mappers = 4, .num_reducers = 4}, &output);
+      &shuffle, {.num_mappers = 4, .num_reducers = 4, .task_model = {}},
+      &output);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(output.size(), 41u);  // word0..word39 + "data"
 

@@ -424,7 +424,8 @@ struct MembershipWorld {
   explicit MembershipWorld(size_t nodes, uint64_t seed = 25)
       : transport(nodes),
         membership(&sim, &transport,
-                   MembershipConfig{.num_nodes = nodes, .seed = seed}) {
+                   MembershipConfig{
+                       .num_nodes = nodes, .detector = {}, .seed = seed}) {
     membership.Start();
   }
 };
@@ -529,7 +530,8 @@ struct PlaneWorld {
 
   explicit PlaneWorld(bool minority_guarded)
       : transport(5),
-        membership(&sim, &transport, MembershipConfig{.num_nodes = 5}),
+        membership(&sim, &transport,
+                   MembershipConfig{.num_nodes = 5, .detector = {}}),
         majority(&sim, &membership, ControlPlaneConfig{.self = 0}),
         minority(&sim, &membership,
                  ControlPlaneConfig{.self = 4,
@@ -711,8 +713,8 @@ TEST(EpochGaugeTest, LiveMembershipFeedsTheProviders) {
 TEST(ClusterMembershipTest, DeadNodePartitionsItsMachines) {
   sim::Simulation sim;
   ClusterTransport transport(3);
-  MembershipService membership(&sim, &transport,
-                               MembershipConfig{.num_nodes = 3});
+  MembershipService membership(
+      &sim, &transport, MembershipConfig{.num_nodes = 3, .detector = {}});
   ControlPlane cp(&sim, &membership, ControlPlaneConfig{.self = 0});
   cluster::Cluster cl(4, {4000, 16384, 0});
   cl.AttachMembership(&cp, {0, 1, 2, 2});  // machines 2,3 on node 2
@@ -736,8 +738,8 @@ TEST(ClusterMembershipTest, DeadNodePartitionsItsMachines) {
 TEST(JiffyMembershipTest, DeadNodeRehomesBlocksAndLeases) {
   sim::Simulation sim;
   ClusterTransport transport(3);
-  MembershipService membership(&sim, &transport,
-                               MembershipConfig{.num_nodes = 3});
+  MembershipService membership(
+      &sim, &transport, MembershipConfig{.num_nodes = 3, .detector = {}});
   ControlPlane cp(&sim, &membership, ControlPlaneConfig{.self = 0});
 
   jiffy::JiffyConfig cfg;
@@ -790,10 +792,12 @@ struct PulsarMembershipWorld {
   pubsub::PulsarCluster pulsar;
 
   PulsarMembershipWorld()
-      : membership(&sim, &transport, MembershipConfig{.num_nodes = 3}),
+      : membership(&sim, &transport,
+                   MembershipConfig{.num_nodes = 3, .detector = {}}),
         cp(&sim, &membership, ControlPlaneConfig{.self = 0}),
         pulsar(&sim, pubsub::PulsarConfig{.num_brokers = 2,
-                                          .num_bookies = 4}) {
+                                          .num_bookies = 4,
+                                          .admission = {}}) {
     // Broker b on node b; bookies 0,1 on node 0, bookies 2,3 on node 1;
     // clients (and this control plane) on node 0. Node 2 keeps the
     // majority when node 1 is cut off.
@@ -806,7 +810,7 @@ struct PulsarMembershipWorld {
 TEST(PulsarMembershipTest, NoAckedMessageLostAcrossPartitionAndHeal) {
   PulsarMembershipWorld w;
   ASSERT_TRUE(w.pulsar
-                  .CreateTopic("orders", {.partitions = 2,
+                  .CreateTopic("orders", {.tenant = {}, .partitions = 2,
                                           .ensemble_size = 2,
                                           .write_quorum = 2,
                                           .ack_quorum = 2})
@@ -854,7 +858,7 @@ TEST(PulsarMembershipTest, NoAckedMessageLostAcrossPartitionAndHeal) {
 TEST(PulsarMembershipTest, PartitionLeasesReassignOffTheDeadBroker) {
   PulsarMembershipWorld w;
   ASSERT_TRUE(w.pulsar
-                  .CreateTopic("t", {.partitions = 4,
+                  .CreateTopic("t", {.tenant = {}, .partitions = 4,
                                      .ensemble_size = 2,
                                      .write_quorum = 2,
                                      .ack_quorum = 2})

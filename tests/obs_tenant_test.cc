@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -440,6 +443,386 @@ TEST(SloClockRegressionTest, RegressionIsClampedAndCounted) {
   // A later regression clamps to the newest timestamp seen so far.
   slo.Record("app", "a", 1100, 10, true);
   EXPECT_EQ(slo.clamped_events(), 2u);
+}
+
+// ------------------------------------------- burn-window differential
+
+// Brute-force reference for SloEngine: the same objectives, tenant guard
+// and export format, but every window query rescans the track's retained
+// (time, good) events from the newest back.
+class ReferenceSlo {
+ public:
+  // Coverage counters: what the stream actually exercised.
+  uint64_t boundary_hits = 0;  ///< Scans stopped by an event exactly W old.
+  uint64_t rematerialized = 0;  ///< Demoted tenants materialized again.
+
+  void AddObjective(SloObjective objective) {
+    State st;
+    for (const BurnRatePolicy& p : objective.policies) {
+      st.max_window_us = std::max(
+          st.max_window_us, std::max(p.long_window_us, p.short_window_us));
+      st.agg.firing[p.name] = false;
+    }
+    if (objective.per_tenant) {
+      objective.max_tenant_series =
+          std::max<size_t>(objective.max_tenant_series, 1);
+      st.popularity =
+          std::make_unique<sketch::SpaceSaving>(objective.max_tenant_series);
+    }
+    st.spec = std::move(objective);
+    objectives_.insert_or_assign(st.spec.name, std::move(st));
+  }
+
+  void Record(const std::string& module, const std::string& tenant,
+              SimTime at_us, SimDuration latency_us, bool ok) {
+    if (at_us < last_at_us_) {
+      ++clamped_;
+      at_us = last_at_us_;
+    } else {
+      last_at_us_ = at_us;
+    }
+    for (auto& [name, st] : objectives_) {
+      if (st.spec.module != module) continue;
+      const bool good = ok && (st.spec.latency_budget_us < 0 ||
+                               latency_us <= st.spec.latency_budget_us);
+      Score(&st, &st.agg, "", at_us, good);
+      if (st.spec.per_tenant) {
+        auto it = Resolve(&st, tenant, at_us);
+        Score(&st, &it->second, it->first, at_us, good);
+      }
+    }
+  }
+
+  double BurnRate(const std::string& objective, SimDuration window_us,
+                  SimTime now_us) {
+    const auto it = objectives_.find(objective);
+    return it == objectives_.end()
+               ? 0.0
+               : Burn(it->second.agg, it->second.spec.target, window_us,
+                      now_us);
+  }
+  double TenantBurnRate(const std::string& objective,
+                        const std::string& tenant, SimDuration window_us,
+                        SimTime now_us) {
+    const auto it = objectives_.find(objective);
+    if (it == objectives_.end()) return 0.0;
+    const auto tit = it->second.tenants.find(tenant);
+    return tit == it->second.tenants.end()
+               ? 0.0
+               : Burn(tit->second, it->second.spec.target, window_us, now_us);
+  }
+  bool IsFiring(const std::string& objective, const std::string& policy) {
+    const auto it = objectives_.find(objective);
+    return it != objectives_.end() && Firing(it->second.agg, policy);
+  }
+  bool IsTenantFiring(const std::string& objective, const std::string& tenant,
+                      const std::string& policy) {
+    const auto it = objectives_.find(objective);
+    if (it == objectives_.end()) return false;
+    const auto tit = it->second.tenants.find(tenant);
+    return tit != it->second.tenants.end() && Firing(tit->second, policy);
+  }
+
+  std::string ExportText() const {
+    std::string out;
+    char buf[256];
+    for (const auto& [name, st] : objectives_) {
+      double remaining = 1.0;
+      if (st.agg.total > 0) {
+        const double allowed = double(st.agg.total) * (1.0 - st.spec.target);
+        remaining = allowed <= 0 ? (st.agg.bad == 0 ? 1.0 : 0.0)
+                                 : std::max(0.0, 1.0 - double(st.agg.bad) /
+                                                           allowed);
+      }
+      std::snprintf(buf, sizeof(buf),
+                    "%s module=%s target=%.6g total=%llu bad=%llu "
+                    "budget_remaining=%.6g\n",
+                    name.c_str(), st.spec.module.c_str(), st.spec.target,
+                    static_cast<unsigned long long>(st.agg.total),
+                    static_cast<unsigned long long>(st.agg.bad), remaining);
+      out += buf;
+      if (!st.spec.per_tenant) continue;
+      for (const auto& [tenant, tr] : st.tenants) {
+        std::snprintf(
+            buf, sizeof(buf),
+            "  tenant=%s total=%llu bad=%llu attribution_bound=%llu\n",
+            tenant.c_str(), static_cast<unsigned long long>(tr.total),
+            static_cast<unsigned long long>(tr.bad),
+            static_cast<unsigned long long>(tr.attribution_bound));
+        out += buf;
+      }
+      const uint64_t sketch_total = st.popularity->total();
+      std::snprintf(
+          buf, sizeof(buf),
+          "  tenant_guard k=%llu materialized=%llu demotions=%llu "
+          "sketch_total=%llu sketch_error_bound=%llu\n",
+          static_cast<unsigned long long>(st.spec.max_tenant_series),
+          static_cast<unsigned long long>(st.tenants.size()),
+          static_cast<unsigned long long>(st.demotions),
+          static_cast<unsigned long long>(sketch_total),
+          static_cast<unsigned long long>(sketch_total /
+                                          st.spec.max_tenant_series));
+      out += buf;
+    }
+    for (const AlertEvent& a : alerts_) {
+      const std::string who = a.tenant.empty() ? "" : " tenant=" + a.tenant;
+      std::snprintf(buf, sizeof(buf),
+                    "alert %s/%s%s %s at=%lld burn_long=%.6g "
+                    "burn_short=%.6g\n",
+                    a.objective.c_str(), a.policy.c_str(), who.c_str(),
+                    a.firing ? "FIRING" : "clear",
+                    static_cast<long long>(a.at_us), a.burn_long,
+                    a.burn_short);
+      out += buf;
+    }
+    if (clamped_ > 0) {
+      std::snprintf(buf, sizeof(buf), "clock_regressions %llu\n",
+                    static_cast<unsigned long long>(clamped_));
+      out += buf;
+    }
+    return out;
+  }
+
+ private:
+  struct Track {
+    uint64_t total = 0;
+    uint64_t bad = 0;
+    std::deque<std::pair<SimTime, bool>> window;  // (at_us, good)
+    std::map<std::string, bool> firing;
+    uint64_t attribution_bound = 0;
+  };
+  struct State {
+    SloObjective spec;
+    SimDuration max_window_us = 0;
+    Track agg;
+    std::map<std::string, Track> tenants;
+    std::unique_ptr<sketch::SpaceSaving> popularity;
+    uint64_t demotions = 0;
+    std::set<std::string> demoted;
+  };
+  using TenantIter = std::map<std::string, Track>::iterator;
+
+  static bool Firing(const Track& tr, const std::string& policy) {
+    const auto it = tr.firing.find(policy);
+    return it != tr.firing.end() && it->second;
+  }
+
+  double Burn(const Track& tr, double target, SimDuration window_us,
+              SimTime now_us) {
+    uint64_t total = 0;
+    uint64_t bad = 0;
+    for (auto it = tr.window.rbegin(); it != tr.window.rend(); ++it) {
+      if (it->first <= now_us - window_us) {
+        if (it->first == now_us - window_us) ++boundary_hits;
+        break;
+      }
+      ++total;
+      if (!it->second) ++bad;
+    }
+    if (total == 0) return 0.0;
+    const double bad_fraction = double(bad) / double(total);
+    const double budget = 1.0 - target;
+    return budget > 0 ? bad_fraction / budget : (bad > 0 ? 1e18 : 0.0);
+  }
+
+  void Score(State* st, Track* tr, const std::string& tenant, SimTime at_us,
+             bool good) {
+    ++tr->total;
+    if (!good) ++tr->bad;
+    if (st->max_window_us > 0) {
+      tr->window.emplace_back(at_us, good);
+      while (!tr->window.empty() &&
+             tr->window.front().first <= at_us - st->max_window_us) {
+        tr->window.pop_front();
+      }
+    }
+    for (const BurnRatePolicy& p : st->spec.policies) {
+      const double burn_long =
+          Burn(*tr, st->spec.target, p.long_window_us, at_us);
+      const double burn_short =
+          Burn(*tr, st->spec.target, p.short_window_us, at_us);
+      const bool fire =
+          burn_long >= p.burn_threshold && burn_short >= p.burn_threshold;
+      bool& firing = tr->firing[p.name];
+      if (fire == firing) continue;
+      firing = fire;
+      alerts_.push_back(
+          {at_us, st->spec.name, p.name, tenant, fire, burn_long, burn_short});
+    }
+  }
+
+  TenantIter Resolve(State* st, const std::string& tenant, SimTime at_us) {
+    if (tenant.empty() || tenant == kOtherTenant) {
+      return st->tenants.try_emplace(kOtherTenant).first;
+    }
+    st->popularity->Add(tenant);
+    auto it = st->tenants.find(tenant);
+    if (it != st->tenants.end()) return it;
+    const size_t exact = st->tenants.size() - st->tenants.count(kOtherTenant);
+    const uint64_t estimate = st->popularity->EstimateCount(tenant);
+    auto materialize = [&] {
+      if (st->demoted.count(tenant) > 0) ++rematerialized;
+      auto ins = st->tenants.try_emplace(tenant).first;
+      ins->second.attribution_bound = estimate > 0 ? estimate - 1 : 0;
+      return ins;
+    };
+    if (exact < st->spec.max_tenant_series) return materialize();
+    bool found = false;
+    std::string weakest;
+    uint64_t weakest_estimate = 0;
+    for (const auto& [name, track] : st->tenants) {
+      if (name == kOtherTenant) continue;
+      const uint64_t est = st->popularity->EstimateCount(name);
+      if (!found || est < weakest_estimate) {
+        found = true;
+        weakest = name;
+        weakest_estimate = est;
+      }
+    }
+    if (!found || estimate <= weakest_estimate) {
+      return st->tenants.try_emplace(kOtherTenant).first;
+    }
+    Track& victim = st->tenants.at(weakest);
+    for (auto& [policy, firing] : victim.firing) {
+      if (!firing) continue;
+      firing = false;
+      alerts_.push_back(
+          {at_us, st->spec.name, policy, weakest, false, 0.0, 0.0});
+    }
+    Track& other = st->tenants[kOtherTenant];
+    other.total += victim.total;
+    other.bad += victim.bad;
+    other.attribution_bound += victim.total;
+    ++st->demotions;
+    st->demoted.insert(weakest);
+    st->tenants.erase(weakest);
+    return materialize();
+  }
+
+  std::map<std::string, State> objectives_;
+  std::vector<AlertEvent> alerts_;
+  SimTime last_at_us_ = 0;
+  uint64_t clamped_ = 0;
+};
+
+// Seeded random streams through SloEngine and the rescanning reference:
+// every burn rate (current and past `now`), every firing bit and the full
+// export must agree exactly. Streams mix bad bursts (alerts fire and
+// clear), equal timestamps, events exactly W old (times and windows share
+// a 5 us grid), clamped clock regressions, tenant demotion and
+// re-materialization through a 3-slot guard, and a mid-stream objective
+// re-registration.
+TEST(SloWindowDifferentialTest, MatchesRescanReference) {
+  const std::vector<std::string> pool = {"t0", "t1", "t2", "t3", "t4", "t5",
+                                         "t6", "t7", "t8", "t9", "",
+                                         kOtherTenant};
+  auto per_tenant_latency = [] {
+    SloObjective o;
+    o.name = "latency";
+    o.module = "app";
+    o.target = 0.95;
+    o.latency_budget_us = 100;
+    // Policy names deliberately out of alphabetical order.
+    o.policies = {{"ticket", 1000, 100, 2.0}, {"page", 500, 50, 8.0}};
+    o.per_tenant = true;
+    o.max_tenant_series = 3;
+    return o;
+  };
+  SloObjective availability;
+  availability.name = "avail";
+  availability.module = "app";
+  availability.target = 0.9;
+  availability.policies = {{"page", 400, 40, 4.0}};
+  SloObjective unwindowed;  // no policies: no window kept at all
+  unwindowed.name = "count-only";
+  unwindowed.module = "app";
+  unwindowed.target = 0.99;
+  const std::vector<SimDuration> windows = {0, 5, 40, 50, 100, 400,
+                                            500, 1000, 3000};
+
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SloEngine slo;
+    ReferenceSlo ref;
+    slo.AllowClockRegression(true);
+    slo.AddObjective(per_tenant_latency());
+    slo.AddObjective(availability);
+    slo.AddObjective(unwindowed);
+    ref.AddObjective(per_tenant_latency());
+    ref.AddObjective(availability);
+    ref.AddObjective(unwindowed);
+
+    Rng rng(seed);
+    SimTime t = 0;
+    bool burst = false;
+    for (int i = 0; i < 4000; ++i) {
+      if (rng.NextBool(0.01)) burst = !burst;
+      SimTime at = t;
+      if (rng.NextBool(0.02)) {
+        at = t - 5 * SimTime(1 + rng.NextBounded(40));  // regression
+      } else if (!rng.NextBool(0.25)) {                 // else equal time
+        t += 5 * SimTime(1 + rng.NextBounded(8));
+        at = t;
+      }
+      // Popularity drifts every 1000 events, churning the 3-slot guard.
+      const size_t rank = rng.NextBounded(rng.NextBounded(10) + 1);
+      const std::string& tenant =
+          rng.NextBool(0.05) ? pool[10 + rng.NextBounded(2)]
+                             : pool[(rank + 3 * size_t(i / 1000)) % 10];
+      const bool ok = !rng.NextBool(burst ? 0.6 : 0.02);
+      const SimDuration latency =
+          SimDuration(rng.NextBounded(burst ? 300 : 110));
+      slo.Record("app", tenant, at, latency, ok);
+      ref.Record("app", tenant, at, latency, ok);
+      if (i == 2500) {  // live re-registration replaces the state
+        slo.AddObjective(per_tenant_latency());
+        ref.AddObjective(per_tenant_latency());
+      }
+
+      const SimTime past = t - SimTime(rng.NextBounded(300));
+      for (const char* obj : {"latency", "avail", "count-only"}) {
+        for (SimDuration w : windows) {
+          for (SimTime now : {t, past}) {
+            ASSERT_EQ(slo.BurnRate(obj, w, now), ref.BurnRate(obj, w, now))
+                << obj << " w=" << w << " now=" << now << " i=" << i;
+          }
+        }
+        for (const char* policy : {"page", "ticket", "none"}) {
+          ASSERT_EQ(slo.IsFiring(obj, policy), ref.IsFiring(obj, policy))
+              << obj << "/" << policy << " i=" << i;
+        }
+      }
+      for (const std::string& tn : pool) {
+        for (SimDuration w : {SimDuration(50), SimDuration(500)}) {
+          for (SimTime now : {t, past}) {
+            ASSERT_EQ(slo.TenantBurnRate("latency", tn, w, now),
+                      ref.TenantBurnRate("latency", tn, w, now))
+                << tn << " w=" << w << " now=" << now << " i=" << i;
+          }
+        }
+        for (const char* policy : {"page", "ticket"}) {
+          ASSERT_EQ(slo.IsTenantFiring("latency", tn, policy),
+                    ref.IsTenantFiring("latency", tn, policy))
+              << tn << "/" << policy << " i=" << i;
+        }
+      }
+      if (i % 500 == 0) {
+        ASSERT_EQ(slo.ExportText(), ref.ExportText()) << i;
+      }
+    }
+    EXPECT_EQ(slo.ExportText(), ref.ExportText());
+
+    // The stream reached every case it is meant to cover.
+    size_t fired = 0;
+    size_t cleared = 0;
+    for (const AlertEvent& a : slo.alerts()) ++(a.firing ? fired : cleared);
+    EXPECT_GT(fired, 0u);
+    EXPECT_GT(cleared, 0u);
+    EXPECT_GT(slo.clamped_events(), 0u);
+    EXPECT_GT(slo.TenantDemotions("latency"), 0u);
+    EXPECT_GT(ref.rematerialized, 0u);
+    EXPECT_GT(ref.boundary_hits, 0u);
+  }
 }
 
 // ---------------------------------------------------- flame by-tenant

@@ -107,10 +107,11 @@ struct PulsarFixture {
 
 TEST(PulsarTest, CreateTopicValidation) {
   PulsarFixture f;
-  ASSERT_TRUE(f.cluster.CreateTopic("t", {.partitions = 2}).ok());
+  ASSERT_TRUE(f.cluster.CreateTopic("t", {.tenant = {}, .partitions = 2}).ok());
   EXPECT_TRUE(f.cluster.CreateTopic("t", {}).IsAlreadyExists());
   EXPECT_TRUE(
-      f.cluster.CreateTopic("empty", {.partitions = 0}).IsInvalidArgument());
+      f.cluster.CreateTopic("empty", {.tenant = {}, .partitions = 0})
+          .IsInvalidArgument());
   EXPECT_TRUE(f.cluster.HasTopic("t"));
   EXPECT_FALSE(f.cluster.HasTopic("u"));
 }
@@ -155,7 +156,7 @@ TEST(PulsarTest, SubscriberSeesEarlierMessages) {
 
 TEST(PulsarTest, KeyedRoutingIsStable) {
   PulsarFixture f;
-  ASSERT_TRUE(f.cluster.CreateTopic("t", {.partitions = 8}).ok());
+  ASSERT_TRUE(f.cluster.CreateTopic("t", {.tenant = {}, .partitions = 8}).ok());
   auto id1 = f.cluster.Publish("t", "user-42", "a");
   auto id2 = f.cluster.Publish("t", "user-42", "b");
   ASSERT_TRUE(id1.ok());
@@ -271,7 +272,7 @@ TEST(PulsarTest, BrokerCrashLosesNoAckedData) {
   // §4.3: brokers are stateless; durable state lives in the bookies, so a
   // broker crash must not lose messages (at-least-once delivery).
   PulsarFixture f;
-  ASSERT_TRUE(f.cluster.CreateTopic("t", {.partitions = 3}).ok());
+  ASSERT_TRUE(f.cluster.CreateTopic("t", {.tenant = {}, .partitions = 3}).ok());
   std::set<std::string> received;
   auto consumer = f.cluster.Subscribe(
       "t", "sub", SubscriptionType::kShared,
@@ -290,7 +291,7 @@ TEST(PulsarTest, BrokerCrashLosesNoAckedData) {
 
 TEST(PulsarTest, BrokerLoadSpreadsAcrossPartitions) {
   PulsarFixture f;
-  ASSERT_TRUE(f.cluster.CreateTopic("t", {.partitions = 9}).ok());
+  ASSERT_TRUE(f.cluster.CreateTopic("t", {.tenant = {}, .partitions = 9}).ok());
   const auto load = f.cluster.BrokerLoad();
   size_t total = 0, max_load = 0;
   for (size_t l : load) {
@@ -339,7 +340,7 @@ TEST(FunctionWorkerTest, StateCounters) {
   PulsarFixture f;
   ASSERT_TRUE(f.cluster.CreateTopic("in", {}).ok());
   FunctionWorker worker(
-      &f.cluster, {.name = "count", .input_topic = "in"},
+      &f.cluster, {.name = "count", .input_topic = "in", .output_topic = {}},
       [](const Message& m, FunctionContext& ctx) {
         ctx.IncrCounter(m.payload, 1);
         return Status::OK();
@@ -358,7 +359,9 @@ TEST(FunctionWorkerTest, CountMinSketchFunctionFigure3) {
   ASSERT_TRUE(f.cluster.CreateTopic("events", {}).ok());
   sketch::CountMinSketch cms(20, 20, 128);
   FunctionWorker worker(
-      &f.cluster, {.name = "count-min", .input_topic = "events"},
+      &f.cluster, {.name = "count-min",
+                    .input_topic = "events",
+                    .output_topic = {}},
       [&cms](const Message& m, FunctionContext&) {
         cms.Add(m.payload, 1);
         return Status::OK();
@@ -383,7 +386,7 @@ TEST(FunctionWorkerTest, FailedMessageStaysUnacked) {
   PulsarFixture f;
   ASSERT_TRUE(f.cluster.CreateTopic("in", {}).ok());
   FunctionWorker worker(
-      &f.cluster, {.name = "fail", .input_topic = "in"},
+      &f.cluster, {.name = "fail", .input_topic = "in", .output_topic = {}},
       [](const Message&, FunctionContext&) {
         return Status::Aborted("boom");
       });
@@ -398,7 +401,10 @@ TEST(FunctionWorkerTest, ParallelismValidation) {
   PulsarFixture f;
   ASSERT_TRUE(f.cluster.CreateTopic("in", {}).ok());
   FunctionWorker worker(&f.cluster,
-                        {.name = "p0", .input_topic = "in", .parallelism = 0},
+                        {.name = "p0",
+                         .input_topic = "in",
+                         .output_topic = {},
+                         .parallelism = 0},
                         [](const Message&, FunctionContext&) {
                           return Status::OK();
                         });

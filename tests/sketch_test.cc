@@ -420,8 +420,8 @@ INSTANTIATE_TEST_SUITE_P(
     Partitions, SketchMergeSweep,
     ::testing::Values(MergeCase{2, 2000}, MergeCase{4, 5000},
                       MergeCase{8, 10000}, MergeCase{16, 20000}),
-    [](const ::testing::TestParamInfo<MergeCase>& info) {
-      return std::to_string(info.param.parts) + "parts";
+    [](const ::testing::TestParamInfo<MergeCase>& param_info) {
+      return std::to_string(param_info.param.parts) + "parts";
     });
 
 }  // namespace
