@@ -13,6 +13,9 @@
 //         counting operator new. Acceptance: 0 for the new kernel.
 //   E24c  telemetry fast path — metric record and span start/end cost,
 //         map-lookup vs pre-resolved handle, interned streaming spans.
+//         Acceptance: 0 allocs per streamed span, and < 0.01 allocs per
+//         trace through the sampling pipeline + flame fold (amortized
+//         ledger growth only).
 //   E24d  parallel sweep — the RunSweep driver over per-run isolated
 //         Simulation/Registry/Tracer worlds. Acceptance: merged results
 //         byte-identical at 1 thread and at N.
@@ -37,7 +40,9 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/time_types.h"
+#include "obs/flame.h"
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
 
@@ -248,6 +253,10 @@ struct TelemetryResult {
   double ns_handle_observe = 0;
   double ns_span_stream = 0;  // StartSpan+EndSpan, kStream, interned
   double span_allocs_per_op = 0;
+  // Attr-free 4-span traces through SamplingPipeline + FlameProfile,
+  // head rate 0 (every trace folded, then dropped).
+  double ns_pipeline_trace = 0;
+  double pipeline_allocs_per_trace = 0;
 };
 
 TelemetryResult MeasureTelemetry(long ops) {
@@ -271,7 +280,7 @@ TelemetryResult MeasureTelemetry(long ops) {
   // Streaming spans: a sink that drops everything isolates tracer cost.
   struct NullSink : obs::SpanSink {
     void OnSpanStart(const obs::Span&) override {}
-    void OnSpanEnd(const obs::Span&) override {}
+    void OnSpanEnd(obs::Span&&) override {}
   } sink;
   sim::Simulation sim;
   obs::Tracer tracer(&sim);
@@ -288,6 +297,38 @@ TelemetryResult MeasureTelemetry(long ops) {
   });
   r.span_allocs_per_op =
       double(AllocCount() - alloc_before) / double(ops);
+
+  // The stream finalize path: tracer -> pipeline -> flame fold + critical
+  // path. Only amortized growth (the decision ledger) may allocate.
+  obs::FlameProfile flame;
+  obs::SamplerConfig sampler;
+  sampler.head_rate = 0;
+  obs::SamplingPipeline pipeline(sampler, &flame, nullptr);
+  obs::Tracer traced(&sim);
+  traced.SetStoreMode(obs::Tracer::StoreMode::kStream);
+  traced.SetSink(&pipeline);
+  SimTime t = 0;
+  auto emit_trace = [&] {
+    const obs::TraceContext root =
+        traced.StartSpanAt("invoke:serve", "faas", {}, t);
+    traced.EmitSpan("queue", "faas", root, t, t + 20);
+    const obs::TraceContext exec =
+        traced.StartSpanAt("exec", "faas", root, t + 20);
+    traced.EmitSpan("read", "faas", exec, t + 30, t + 60);
+    traced.EndSpanAt(exec, t + 90);
+    traced.EndSpanAt(root, t + 100);
+    t += 100;
+  };
+  for (int i = 0; i < 1024; ++i) emit_trace();
+  const long traces = ops / 4;
+  const uint64_t pipeline_before = AllocCount();
+  const auto p0 = std::chrono::steady_clock::now();
+  for (long i = 0; i < traces; ++i) emit_trace();
+  const auto p1 = std::chrono::steady_clock::now();
+  r.pipeline_allocs_per_trace =
+      double(AllocCount() - pipeline_before) / double(traces);
+  r.ns_pipeline_trace =
+      1e9 * std::chrono::duration<double>(p1 - p0).count() / double(traces);
   return r;
 }
 
@@ -392,16 +433,23 @@ void RunExperiment() {
 
   // E24c: telemetry fast path.
   TelemetryResult tel = MeasureTelemetry(small ? 300000 : 3000000);
-  bench::Table telem({"operation", "ns/op"});
+  bench::Table telem({"operation", "ns/op", "allocs/op"});
   telem.AddRow({"Counter record, map lookup per record (pre-E24 slow path)",
-                bench::Fmt("%.1f", tel.ns_lookup_inc)});
+                bench::Fmt("%.1f", tel.ns_lookup_inc), "-"});
   telem.AddRow({"Counter record, pre-resolved handle",
-                bench::Fmt("%.1f", tel.ns_handle_inc)});
+                bench::Fmt("%.1f", tel.ns_handle_inc), "-"});
   telem.AddRow({"Histogram observe, pre-resolved handle",
-                bench::Fmt("%.1f", tel.ns_handle_observe)});
+                bench::Fmt("%.1f", tel.ns_handle_observe), "-"});
   telem.AddRow({"StartSpan+EndSpan, kStream, interned names",
-                bench::Fmt("%.1f", tel.ns_span_stream)});
+                bench::Fmt("%.1f", tel.ns_span_stream),
+                bench::Fmt("%.3f", tel.span_allocs_per_op)});
+  telem.AddRow({"4-span trace -> SamplingPipeline + FlameProfile, head 0 "
+                "(per trace)",
+                bench::Fmt("%.1f", tel.ns_pipeline_trace),
+                bench::Fmt("%.4f", tel.pipeline_allocs_per_trace)});
   telem.Print("E24c: telemetry record-path cost");
+  const bool span_zero_alloc = tel.span_allocs_per_op == 0;
+  const bool pipeline_low_alloc = tel.pipeline_allocs_per_trace < 0.01;
   bench::JsonReport::Instance().Note(
       "handle_vs_lookup",
       bench::Fmt("%.1fx", tel.ns_handle_inc > 0
@@ -458,13 +506,17 @@ void RunExperiment() {
   const bool rerun_same = again.digest == serial[0].digest;
 
   const bool pass = speedup >= 5.0 && same_checksum && zero_alloc &&
-                    sweep_same && rerun_same;
+                    span_zero_alloc && pipeline_low_alloc && sweep_same &&
+                    rerun_same;
   bench::JsonReport::Instance().Note(
       "acceptance",
       std::string(pass ? "PASS" : "FAIL") +
           bench::Fmt(" speedup=%.2fx(>=5x)", speedup) +
           bench::Fmt(" allocs_per_event=%.3f(=0)",
                      e24.steady_allocs_per_event) +
+          bench::Fmt(" span_allocs_per_op=%.3f(=0)", tel.span_allocs_per_op) +
+          bench::Fmt(" pipeline_allocs_per_trace=%.4f(<0.01)",
+                     tel.pipeline_allocs_per_trace) +
           std::string(same_checksum ? " checksum=same" : " checksum=DIFF") +
           std::string(sweep_same ? " sweep=deterministic"
                                  : " sweep=DIVERGED") +
@@ -473,8 +525,9 @@ void RunExperiment() {
                                      sweep_same && rerun_same ? "yes"
                                                               : "BROKEN");
   std::printf("\nE24 acceptance: %s (speedup %.2fx, %.3f allocs/event, "
-              "sweep %s)\n",
+              "%.3f allocs/span, %.4f allocs/pipeline trace, sweep %s)\n",
               pass ? "PASS" : "FAIL", speedup, e24.steady_allocs_per_event,
+              tel.span_allocs_per_op, tel.pipeline_allocs_per_trace,
               sweep_same ? "deterministic" : "DIVERGED");
 }
 
@@ -569,7 +622,7 @@ BENCHMARK(BM_RetryPayload_SharedRef);
 void BM_StreamSpanInterned(benchmark::State& state) {
   struct NullSink : obs::SpanSink {
     void OnSpanStart(const obs::Span&) override {}
-    void OnSpanEnd(const obs::Span&) override {}
+    void OnSpanEnd(obs::Span&&) override {}
   } sink;
   sim::Simulation sim;
   obs::Tracer tracer(&sim);

@@ -81,7 +81,9 @@ void Histogram::Add(double value) { AddN(value, 1); }
 
 void Histogram::AddN(double value, uint64_t n) {
   if (n == 0) return;
-  buckets_[BucketFor(value)] += n;
+  const size_t bucket = BucketFor(value);
+  buckets_[bucket] += n;
+  lowest_ = std::min(lowest_, bucket);
   count_ += n;
   sum_ += value * double(n);
   min_ = std::min(min_, value);
@@ -94,7 +96,9 @@ double Histogram::Quantile(double q) const {
   const uint64_t target =
       static_cast<uint64_t>(std::ceil(q * double(count_)));
   uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
+  // Buckets below lowest_ are empty: they add nothing to `seen` and can
+  // never be the answer, so skipping them leaves the result bit-identical.
+  for (size_t i = lowest_; i < buckets_.size(); ++i) {
     seen += buckets_[i];
     if (seen >= target && buckets_[i] > 0) {
       // Clamp the log-space estimate to observed extremes for tight tails.
@@ -113,6 +117,7 @@ void Histogram::Merge(const Histogram& other) {
   for (size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
+  lowest_ = std::min(lowest_, other.lowest_);
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -121,6 +126,7 @@ void Histogram::Merge(const Histogram& other) {
 
 void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
+  lowest_ = kNoBucket;
   count_ = 0;
   sum_ = 0;
   min_ = std::numeric_limits<double>::infinity();

@@ -73,12 +73,20 @@ class Histogram {
   /// Exposed for the property tests (monotonicity, count conservation).
   std::vector<std::pair<size_t, uint64_t>> NonzeroBuckets() const;
 
- private:
-  size_t BucketFor(double value) const;
+  /// Log-space midpoint a bucket index reports before Quantile clamps it
+  /// to [min, max]. Exposed for the property tests (full-scan reference).
   double BucketMid(size_t bucket) const;
+
+ private:
+  static constexpr size_t kNoBucket = SIZE_MAX;
+
+  size_t BucketFor(double value) const;
 
   double max_value_;
   std::vector<uint64_t> buckets_;
+  /// Lowest non-empty bucket index (kNoBucket when empty): Quantile starts
+  /// its cumulative scan here instead of at bucket 0.
+  size_t lowest_ = kNoBucket;
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
 #include <vector>
 
 namespace taureau::obs {
@@ -64,67 +63,57 @@ std::string Breakdown::ToString() const {
   return out;
 }
 
-Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
-                                        uint64_t root_span_id) {
-  const Span* root = nullptr;
-  for (const Span& s : spans) {
-    if (s.id == root_span_id) {
-      root = &s;
-      break;
-    }
+size_t SpanIndex(const std::vector<Span>& spans, uint64_t id) {
+  // Gap-free slices (the tracer's retain store holds ids 1..n) resolve
+  // directly; anything else falls back to the binary search.
+  if (!spans.empty() && id >= spans.front().id) {
+    const uint64_t guess = id - spans.front().id;
+    if (guess < spans.size() && spans[guess].id == id) return size_t(guess);
   }
-  if (root == nullptr) {
-    return Status::NotFound("no span with id " + std::to_string(root_span_id));
-  }
-  if (!root->ended()) {
-    return Status::FailedPrecondition("root span " +
-                                      std::to_string(root_span_id) +
-                                      " is still open");
-  }
+  const auto it = std::lower_bound(
+      spans.begin(), spans.end(), id,
+      [](const Span& a, uint64_t key) { return a.id < key; });
+  return it != spans.end() && it->id == id ? size_t(it - spans.begin())
+                                           : spans.size();
+}
 
-  TraceAttribution out;
-  out.breakdown.total_us = root->duration_us();
-  out.self_us.assign(spans.size(), 0);
-  if (out.breakdown.total_us == 0) return out;
+void AttributeTraceInto(const std::vector<Span>& spans, size_t root_index,
+                        AttributionScratch* scratch,
+                        std::vector<SimDuration>* self_us,
+                        Breakdown* breakdown) {
+  const Span& root = spans[root_index];
+  *breakdown = Breakdown{};
+  breakdown->total_us = root.duration_us();
+  if (breakdown->total_us == 0) return;
 
   // Parents always precede children in id order, so a single forward pass
-  // both computes tree depth under the root and collects the descendant
-  // intervals, clipped to the root window. Every finished descendant is an
-  // interval (self-time needs all of them); only categorized ones carry a
-  // category.
-  struct Interval {
-    SimTime start;
-    SimTime end;
-    int depth;
-    uint64_t id;
-    size_t index;  ///< Position in `spans` (for self-time charging).
-    bool has_cat;
-    Category cat;
-  };
-  std::unordered_map<uint64_t, int> depth;
-  depth.reserve(spans.size());
-  depth[root_span_id] = 0;
-  size_t root_index = 0;
-  std::vector<Interval> intervals;
-  std::vector<SimTime> bounds{root->start_us, root->end_us};
-  for (size_t i = 0; i < spans.size(); ++i) {
+  // from the root both computes tree depth under the root and collects the
+  // descendant intervals, clipped to the root window. Every finished
+  // descendant is an interval (self-time needs all of them); only
+  // categorized ones carry a category.
+  std::vector<int>& depth = scratch->depth;
+  std::vector<AttributionScratch::Interval>& intervals = scratch->intervals;
+  std::vector<SimTime>& bounds = scratch->bounds;
+  depth.assign(spans.size(), -1);
+  depth[root_index] = 0;
+  intervals.clear();
+  bounds.clear();
+  bounds.push_back(root.start_us);
+  bounds.push_back(root.end_us);
+  for (size_t i = root_index + 1; i < spans.size(); ++i) {
     const Span& s = spans[i];
-    if (s.id == root_span_id) {
-      root_index = i;
-      continue;
-    }
     if (s.parent == 0) continue;
-    const auto dit = depth.find(s.parent);
-    if (dit == depth.end()) continue;
-    depth[s.id] = dit->second + 1;
+    const size_t p = SpanIndex(spans, s.parent);
+    if (p == spans.size() || depth[p] < 0) continue;
+    depth[i] = depth[p] + 1;
     if (!s.ended()) continue;
     const auto it = s.attrs.find(kCategoryAttr);
     const auto cat = it != s.attrs.end() ? ParseCategory(it->second)
                                          : std::nullopt;
-    const SimTime lo = std::max(s.start_us, root->start_us);
-    const SimTime hi = std::min(s.end_us, root->end_us);
+    const SimTime lo = std::max(s.start_us, root.start_us);
+    const SimTime hi = std::min(s.end_us, root.end_us);
     if (hi <= lo) continue;
-    intervals.push_back({lo, hi, depth[s.id], s.id, i, cat.has_value(),
+    intervals.push_back({lo, hi, depth[i], s.id, i, cat.has_value(),
                          cat.value_or(Category::kOther)});
     bounds.push_back(lo);
     bounds.push_back(hi);
@@ -139,6 +128,7 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
   // of any kind (the root when none). Charging every elementary interval
   // exactly once is what makes both partitions sum to total_us without
   // tolerance.
+  using Interval = AttributionScratch::Interval;
   for (size_t i = 0; i + 1 < bounds.size(); ++i) {
     const SimTime lo = bounds[i];
     const SimTime hi = bounds[i + 1];
@@ -158,9 +148,27 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
     }
     const Category cat =
         best_cat != nullptr ? best_cat->cat : Category::kOther;
-    out.breakdown.by_category[static_cast<size_t>(cat)] += hi - lo;
-    out.self_us[best_any != nullptr ? best_any->index : root_index] += hi - lo;
+    breakdown->by_category[static_cast<size_t>(cat)] += hi - lo;
+    (*self_us)[best_any != nullptr ? best_any->index : root_index] += hi - lo;
   }
+}
+
+Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
+                                        uint64_t root_span_id) {
+  const size_t root_index = SpanIndex(spans, root_span_id);
+  if (root_index == spans.size()) {
+    return Status::NotFound("no span with id " + std::to_string(root_span_id));
+  }
+  if (!spans[root_index].ended()) {
+    return Status::FailedPrecondition("root span " +
+                                      std::to_string(root_span_id) +
+                                      " is still open");
+  }
+  TraceAttribution out;
+  out.self_us.assign(spans.size(), 0);
+  AttributionScratch scratch;
+  AttributeTraceInto(spans, root_index, &scratch, &out.self_us,
+                     &out.breakdown);
   return out;
 }
 

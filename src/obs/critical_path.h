@@ -76,11 +76,45 @@ struct TraceAttribution {
   std::vector<SimDuration> self_us;
 };
 
-/// Storage-agnostic core shared by AnalyzeCriticalPath and the flame
-/// aggregator: attributes the subtree of `root_span_id` within `spans`
-/// (any id-ascending slice of one or more traces — parents must precede
-/// children, as the tracer guarantees). Unlike AnalyzeCriticalPath the
-/// root may itself have a parent outside `spans` (late/async span groups).
+/// Reusable working storage for AttributeTraceInto. A caller that keeps one
+/// across calls (the flame aggregator does) attributes traces without
+/// allocating once the vectors have grown to its largest trace.
+struct AttributionScratch {
+  /// One finished descendant, clipped to the root window.
+  struct Interval {
+    SimTime start;
+    SimTime end;
+    int depth;
+    uint64_t id;
+    size_t index;  ///< Position in the span slice (for self-time charging).
+    bool has_cat;
+    Category cat;
+  };
+  std::vector<int> depth;  ///< Per span index; -1 outside the subtree.
+  std::vector<Interval> intervals;
+  std::vector<SimTime> bounds;
+};
+
+/// Position of the span with id `id` in the id-sorted `spans`, or
+/// spans.size() when absent: a direct index when the slice's ids are
+/// gap-free around `id`, else a binary search.
+size_t SpanIndex(const std::vector<Span>& spans, uint64_t id);
+
+/// The attribution algorithm: attributes the subtree rooted at
+/// `spans[root_index]` within `spans` (any id-sorted slice of one or more
+/// traces with unique ids; parents are found by binary search on id). The
+/// root may itself have a parent outside `spans` (late/async span groups)
+/// and must be ended. Overwrites `*breakdown`; *adds* each span's self time
+/// into `(*self_us)[i]`, which must hold spans.size() entries, so callers
+/// can accumulate several disjoint subtrees into one vector.
+void AttributeTraceInto(const std::vector<Span>& spans, size_t root_index,
+                        AttributionScratch* scratch,
+                        std::vector<SimDuration>* self_us,
+                        Breakdown* breakdown);
+
+/// Storage-agnostic entry point shared by AnalyzeCriticalPath and
+/// Observability's retain-mode export: AttributeTraceInto for the span
+/// with id `root_span_id`, with fresh scratch and a fresh self-time vector.
 /// NotFound for an absent root, FailedPrecondition for an unfinished one.
 Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
                                         uint64_t root_span_id);

@@ -1,76 +1,94 @@
 #include "obs/flame.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdio>
+#include <functional>
+
+#include "common/hash.h"
 
 namespace taureau::obs {
+
+size_t FlameProfile::ChildKeyHash::operator()(const ChildKey& k) const {
+  return HashCombine(k.parent, std::hash<std::string_view>{}(k.name));
+}
+
+uint32_t FlameProfile::Child(uint32_t parent, const std::string& name) {
+  const auto it = children_.find(ChildKey{parent, name});
+  if (it != children_.end()) return it->second;
+  const auto id = static_cast<uint32_t>(nodes_.size());
+  PathNode& node = nodes_.emplace_back();
+  node.path = parent == kNoNode ? name : nodes_[parent].path + ";" + name;
+  const std::string_view tail(node.path);
+  children_.emplace(ChildKey{parent, tail.substr(tail.size() - name.size())},
+                    id);
+  return id;
+}
 
 void FlameProfile::FoldTrace(const std::vector<Span>& spans) {
   if (spans.empty()) return;
   ++folded_traces_;
 
-  std::unordered_set<uint64_t> present;
-  present.reserve(spans.size());
-  for (const Span& s : spans) present.insert(s.id);
-
-  // Path of each span: parent path + ";" + name; group roots start fresh.
-  std::unordered_map<uint64_t, const std::string*> path_of;
-  std::vector<std::string> paths(spans.size());
-  std::vector<uint64_t> group_roots;
+  // Path node of each span: its parent's node extended by its name; group
+  // roots (parent absent from the group) start a top-level path.
+  node_of_.resize(spans.size());
+  group_roots_.clear();
   for (size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans[i];
-    const bool is_root = s.parent == 0 || !present.count(s.parent);
-    if (is_root) {
-      paths[i] = s.name;
-      group_roots.push_back(s.id);
-    } else {
-      auto it = path_of.find(s.parent);
-      paths[i] = it != path_of.end() ? *it->second + ";" + s.name : s.name;
-    }
-    path_of[s.id] = &paths[i];
+    const size_t p = s.parent == 0 ? spans.size() : SpanIndex(spans, s.parent);
+    if (p == spans.size()) group_roots_.push_back(i);
+    // A parent placed after its child has no node yet; its child renders
+    // as a top-level path, as the string-keyed fold did.
+    node_of_[i] = Child(p < i ? node_of_[p] : kNoNode, s.name);
   }
 
   // One attribution pass per subtree root charges every span's self time
   // and the root's category breakdown. Each span belongs to exactly one
-  // subtree, so accumulating self_us across the passes never double-counts.
-  std::vector<SimDuration> self(spans.size(), 0);
-  for (uint64_t root_id : group_roots) {
-    auto attributed = AttributeTrace(spans, root_id);
-    if (!attributed.ok()) continue;  // unfinished root: skip its subtree
-    for (size_t i = 0; i < spans.size(); ++i) {
-      self[i] += attributed->self_us[i];
-    }
-    const Span* root = nullptr;
-    for (const Span& s : spans) {
-      if (s.id == root_id) root = &s;
-    }
-    RootAggregate& agg = by_root_[root->name];
+  // subtree, so accumulating self time across the passes never
+  // double-counts.
+  self_.assign(spans.size(), 0);
+  Breakdown breakdown;
+  for (size_t r : group_roots_) {
+    const Span& root = spans[r];
+    if (!root.ended()) continue;  // unfinished root: skip its subtree
+    AttributeTraceInto(spans, r, &scratch_, &self_, &breakdown);
+    RootAggregate& agg = by_root_[root.name];
     ++agg.count;
-    agg.breakdown.Accumulate(attributed->breakdown);
-    const auto tenant = root->attrs.find(kTenantAttr);
-    if (tenant != root->attrs.end()) {
+    agg.breakdown.Accumulate(breakdown);
+    const auto tenant = root.attrs.find(kTenantAttr);
+    if (tenant != root.attrs.end()) {
       RootAggregate& tagg = by_tenant_[tenant->second];
       ++tagg.count;
-      tagg.breakdown.Accumulate(attributed->breakdown);
+      tagg.breakdown.Accumulate(breakdown);
     }
   }
 
   for (size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans[i];
     if (!s.ended()) continue;
-    PathStat& stat = paths_[paths[i]];
+    PathStat& stat = nodes_[node_of_[i]].stat;
     ++stat.count;
     stat.total_us += s.duration_us();
-    stat.self_us += self[i];
+    stat.self_us += self_[i];
     ++folded_spans_;
   }
 }
 
+std::map<std::string, PathStat> FlameProfile::paths() const {
+  std::map<std::string, PathStat> out;
+  for (const PathNode& node : nodes_) {
+    if (node.stat.count == 0) continue;  // only ever an unended span's path
+    PathStat& stat = out[node.path];
+    stat.count += node.stat.count;
+    stat.total_us += node.stat.total_us;
+    stat.self_us += node.stat.self_us;
+  }
+  return out;
+}
+
 std::vector<std::pair<std::string, PathStat>> FlameProfile::TopKBySelf(
     size_t k) const {
-  std::vector<std::pair<std::string, PathStat>> out(paths_.begin(),
-                                                    paths_.end());
+  const std::map<std::string, PathStat> all = paths();
+  std::vector<std::pair<std::string, PathStat>> out(all.begin(), all.end());
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     if (a.second.self_us != b.second.self_us) {
       return a.second.self_us > b.second.self_us;
@@ -84,7 +102,7 @@ std::vector<std::pair<std::string, PathStat>> FlameProfile::TopKBySelf(
 std::string FlameProfile::ExportText() const {
   std::string out;
   char buf[96];
-  for (const auto& [path, stat] : paths_) {
+  for (const auto& [path, stat] : paths()) {
     std::snprintf(buf, sizeof(buf), " count=%llu total=%lld self=%lld\n",
                   static_cast<unsigned long long>(stat.count),
                   static_cast<long long>(stat.total_us),
@@ -99,7 +117,8 @@ std::string FlameProfile::ExportTenantsText() const {
 }
 
 void FlameProfile::Clear() {
-  paths_.clear();
+  nodes_.clear();
+  children_.clear();
   by_root_.clear();
   by_tenant_.clear();
   folded_spans_ = 0;

@@ -4,19 +4,28 @@
 // This is the "exact" half of the sampled-observability split: the sampling
 // pipeline feeds *every* finalized trace through FoldTrace before deciding
 // retention, so hot-path top-k and per-category attribution are identical
-// whether 100% or 1% of raw spans are kept. Aggregate memory is
-// O(distinct paths), independent of traffic.
+// whether 100% or 1% of raw spans are kept.
 //
 // Path keys are semicolon-joined span names from the group root down
 // (folded-flame-graph convention): "invoke:serve;exec". Self time uses the
 // critical-path partition — each instant of the root window is charged to
 // the deepest covering span — so per-trace self times sum exactly to the
 // root span's wall time (the invariant the obs_scale tests pin).
+//
+// Cost: paths are interned as a call-path tree keyed by (parent node, span
+// name); each node renders its path string once, when first seen. Memory
+// is O(distinct paths), independent of traffic, and a fold whose paths all
+// exist does no allocation — parents resolve by binary search over the
+// id-sorted group, stats accumulate into the nodes and the per-fold
+// working vectors are members reused across folds.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/time_types.h"
@@ -41,13 +50,21 @@ struct RootAggregate {
 
 class FlameProfile {
  public:
-  /// Folds one complete trace group. `spans` must be sorted by id
-  /// (creation order — parents precede children); spans whose parent is
-  /// absent from the group act as subtree roots (late/async groups, chaos
-  /// markers). Unfinished spans are skipped.
+  FlameProfile() = default;
+  // Child-index keys view strings owned by nodes_; a copy would alias them.
+  FlameProfile(const FlameProfile&) = delete;
+  FlameProfile& operator=(const FlameProfile&) = delete;
+
+  /// Folds one complete trace group. `spans` must be sorted by id with
+  /// unique ids (creation order — parents precede children); spans whose
+  /// parent is absent from the group act as subtree roots (late/async
+  /// groups, chaos markers). Unfinished spans are skipped.
   void FoldTrace(const std::vector<Span>& spans);
 
-  const std::map<std::string, PathStat>& paths() const { return paths_; }
+  /// Path-keyed aggregates, rendered from the call-path tree on each call.
+  /// Distinct tree nodes whose path strings coincide (a span name that
+  /// itself contains ';') share one entry.
+  std::map<std::string, PathStat> paths() const;
   const std::map<std::string, RootAggregate>& by_root() const {
     return by_root_;
   }
@@ -74,7 +91,35 @@ class FlameProfile {
   void Clear();
 
  private:
-  std::map<std::string, PathStat> paths_;
+  static constexpr uint32_t kNoNode = UINT32_MAX;
+
+  /// One call path: the stats of every ended span folded under it.
+  struct PathNode {
+    std::string path;  ///< Rendered once, at creation.
+    PathStat stat;
+  };
+  /// (parent node, span name); `name` views the tail of a node's path.
+  struct ChildKey {
+    uint32_t parent;
+    std::string_view name;
+    bool operator==(const ChildKey&) const = default;
+  };
+  struct ChildKeyHash {
+    size_t operator()(const ChildKey& k) const;
+  };
+
+  /// The node for `name` under `parent` (kNoNode: a top-level path),
+  /// created on first use.
+  uint32_t Child(uint32_t parent, const std::string& name);
+
+  std::deque<PathNode> nodes_;  ///< Stable addresses: keys view into them.
+  std::unordered_map<ChildKey, uint32_t, ChildKeyHash> children_;
+  // Per-fold working storage, kept to avoid reallocating on every fold.
+  std::vector<uint32_t> node_of_;
+  std::vector<size_t> group_roots_;
+  std::vector<SimDuration> self_;
+  AttributionScratch scratch_;
+
   std::map<std::string, RootAggregate> by_root_;
   std::map<std::string, RootAggregate> by_tenant_;
   uint64_t folded_spans_ = 0;

@@ -48,7 +48,16 @@ RetainReason SamplingPipeline::DecisionFor(uint64_t trace_id) const {
 }
 
 void SamplingPipeline::OnSpanStart(const Span& span) {
-  Pending& group = pending_[span.trace];
+  auto it = pending_.find(span.trace);
+  if (it == pending_.end() && free_pending_.empty()) {
+    it = pending_.try_emplace(span.trace).first;
+  } else if (it == pending_.end()) {
+    auto node = std::move(free_pending_.back());
+    free_pending_.pop_back();
+    node.key() = span.trace;
+    it = pending_.insert(std::move(node)).position;
+  }
+  Pending& group = it->second;
   ++group.open;
   if (span.parent == 0 && group.root_id == 0) {
     group.root_id = span.id;
@@ -63,7 +72,7 @@ void SamplingPipeline::NoteMarkers(const Span& span, Pending* group) {
   if (it->second == kOutcomeFault) group->saw_fault = true;
 }
 
-void SamplingPipeline::OnSpanEnd(const Span& span) {
+void SamplingPipeline::OnSpanEnd(Span&& span) {
   ++stats_.spans_seen;
   auto it = pending_.find(span.trace);
   if (it == pending_.end()) return;  // start was never seen; ignore
@@ -78,17 +87,30 @@ void SamplingPipeline::OnSpanEnd(const Span& span) {
     const auto tenant = span.attrs.find(kTenantAttr);
     if (tenant != span.attrs.end()) group.root_tenant = tenant->second;
   }
-  group.spans.push_back(span);
+  group.spans.push_back(std::move(span));
   if (group.open > 0) --group.open;
   if (group.open == 0 && (group.root_ended || group.late)) {
-    Pending done = std::move(group);
-    pending_.erase(it);
-    const bool complete = !done.late;
-    Finalize(span.trace, std::move(done), complete);
+    const bool complete = !group.late;
+    FinalizeNode(pending_.extract(it), complete);
   }
 }
 
-void SamplingPipeline::Finalize(uint64_t trace_id, Pending&& group,
+void SamplingPipeline::FinalizeNode(PendingMap::node_type&& node,
+                                    bool complete) {
+  Pending& group = node.mapped();
+  Finalize(node.key(), group, complete);
+  // Reset every field, keeping only the buffers' capacity.
+  std::vector<Span> spans = std::move(group.spans);
+  std::string tenant = std::move(group.root_tenant);
+  spans.clear();
+  tenant.clear();
+  group = Pending{};
+  group.spans = std::move(spans);
+  group.root_tenant = std::move(tenant);
+  free_pending_.push_back(std::move(node));
+}
+
+void SamplingPipeline::Finalize(uint64_t trace_id, Pending& group,
                                 bool complete) {
   std::sort(group.spans.begin(), group.spans.end(),
             [](const Span& a, const Span& b) { return a.id < b.id; });
@@ -153,19 +175,21 @@ void SamplingPipeline::Finalize(uint64_t trace_id, Pending&& group,
   }
   ++stats_.traces_retained;
   if (important) ++stats_.important_retained;
-  Retain(trace_id, reason, std::move(group.spans));
+  Retain(trace_id, reason, &group.spans);
 }
 
 void SamplingPipeline::Retain(uint64_t trace_id, RetainReason reason,
-                              std::vector<Span>&& spans) {
+                              std::vector<Span>* spans) {
   RetainedTrace entry;
   entry.reason = reason;
-  for (const Span& s : spans) {
+  entry.spans.reserve(spans->size());
+  for (Span& s : *spans) {
     retained_span_count_ += 1;
     retained_bytes_ += ApproxSpanBytes(s);
     ++stats_.spans_retained;
+    entry.spans.push_back(std::move(s));
   }
-  entry.spans = std::move(spans);
+  spans->clear();
   retained_.insert_or_assign(trace_id, std::move(entry));
   if (reason == RetainReason::kHead) healthy_.insert(trace_id);
   EvictIfOver();
@@ -202,11 +226,7 @@ void SamplingPipeline::Flush() {
   for (const auto& [tid, group] : pending_) ids.push_back(tid);
   std::sort(ids.begin(), ids.end());
   for (uint64_t tid : ids) {
-    auto it = pending_.find(tid);
-    if (it == pending_.end()) continue;
-    Pending group = std::move(it->second);
-    pending_.erase(it);
-    Finalize(tid, std::move(group), /*complete=*/false);
+    FinalizeNode(pending_.extract(tid), /*complete=*/false);
   }
 }
 

@@ -20,6 +20,10 @@
 // when it overflows, head-sampled healthy traces are evicted before
 // important (error/fault/slow) ones. Memory is O(retained + in-flight),
 // plus one byte per trace for the decision ledger.
+//
+// Closed spans arrive by move (SpanSink::OnSpanEnd) and pending-group map
+// nodes are recycled with their span-vector capacity, so a dropped trace
+// costs no allocation in steady state beyond its spans' own attributes.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +72,7 @@ class SamplingPipeline : public SpanSink {
 
   // SpanSink:
   void OnSpanStart(const Span& span) override;
-  void OnSpanEnd(const Span& span) override;
+  void OnSpanEnd(Span&& span) override;
 
   /// Finalizes every pending group from its closed spans (groups whose
   /// root never closed count as incomplete and skip SLO scoring). Call
@@ -123,8 +127,8 @@ class SamplingPipeline : public SpanSink {
     bool saw_error = false;
     bool saw_fault = false;
     bool late = false;  ///< Group arrived after the trace's decision.
-    std::string root_module;
-    std::string root_name;
+    Interned root_module;
+    Interned root_name;
     std::string root_tenant;  ///< kTenantAttr of the root span, if set.
     SimTime root_end_us = 0;
     SimDuration root_duration_us = 0;
@@ -134,17 +138,24 @@ class SamplingPipeline : public SpanSink {
     std::vector<Span> spans;
   };
 
+  using PendingMap = std::unordered_map<uint64_t, Pending>;
+
   void NoteMarkers(const Span& span, Pending* group);
-  void Finalize(uint64_t trace_id, Pending&& group, bool complete);
+  /// Finalizes the extracted group `node` and recycles it.
+  void FinalizeNode(PendingMap::node_type&& node, bool complete);
+  void Finalize(uint64_t trace_id, Pending& group, bool complete);
+  /// Moves the spans out of `*spans` (which keeps its capacity).
   void Retain(uint64_t trace_id, RetainReason reason,
-              std::vector<Span>&& spans);
+              std::vector<Span>* spans);
   void EvictIfOver();
   static size_t ApproxSpanBytes(const Span& span);
 
   SamplerConfig config_;
   FlameProfile* flame_;
   SloEngine* slo_;
-  std::unordered_map<uint64_t, Pending> pending_;
+  PendingMap pending_;
+  /// Finalized pending_ nodes, reset and reused by OnSpanStart.
+  std::vector<PendingMap::node_type> free_pending_;
   std::map<uint64_t, RetainedTrace> retained_;
   std::set<uint64_t> healthy_;  ///< Evict-first candidates (head-sampled).
   /// Decision per finalized trace id (ids are sequential from 1).

@@ -87,11 +87,18 @@ TraceContext Tracer::StartSpanAt(std::string_view name,
   ++emitted_;
   const TraceContext ctx{span.trace, span.id};
   const Span* stored;
-  if (mode_ == StoreMode::kStream) {
-    stored = &open_.emplace(span.id, std::move(span)).first->second;
-  } else {
+  if (mode_ == StoreMode::kRetainAll) {
     spans_.push_back(std::move(span));
     stored = &spans_.back();
+  } else if (free_nodes_.empty()) {
+    stored = &open_.emplace(span.id, std::move(span)).first->second;
+  } else {
+    // Assigning a fresh Span drops whatever the previous occupant left.
+    auto node = std::move(free_nodes_.back());
+    free_nodes_.pop_back();
+    node.key() = span.id;
+    node.mapped() = std::move(span);
+    stored = &open_.insert(std::move(node)).position->second;
   }
   if (sink_ != nullptr) sink_->OnSpanStart(*stored);
   return ctx;
@@ -118,8 +125,13 @@ void Tracer::EndSpanAt(TraceContext ctx, SimTime end_us) {
   Span* s = FindMutable(ctx);
   if (s == nullptr || s->ended()) return;
   s->end_us = std::max(end_us, s->start_us);
-  if (sink_ != nullptr) sink_->OnSpanEnd(*s);
-  if (mode_ == StoreMode::kStream) open_.erase(ctx.span_id);
+  if (mode_ == StoreMode::kRetainAll) {
+    if (sink_ != nullptr) sink_->OnSpanEnd(Span(*s));
+    return;
+  }
+  auto node = open_.extract(ctx.span_id);
+  if (sink_ != nullptr) sink_->OnSpanEnd(std::move(node.mapped()));
+  free_nodes_.push_back(std::move(node));
 }
 
 TraceContext Tracer::EmitSpan(
@@ -234,6 +246,7 @@ std::string Tracer::ExportJson() const {
 void Tracer::Clear() {
   spans_.clear();
   open_.clear();
+  free_nodes_.clear();
   next_trace_ = 1;
   next_span_ = 1;
   emitted_ = 0;

@@ -95,11 +95,17 @@ inline constexpr const char* kTenantAttr = "tenant";
 /// OnSpanStart fires before any attributes exist; OnSpanEnd fires exactly
 /// once per span with the final attribute set (modules set attrs before
 /// closing). Attributes set on an already-closed span are not re-delivered.
+///
+/// Ownership: OnSpanEnd hands the sink a span it owns outright. In kStream
+/// it is the tracer's own record, moved out (the tracer keeps no copy and
+/// recycles the emptied slot for a later span); in kRetainAll it is a copy
+/// of the stored span. A sink may move from it or ignore it; the tracer
+/// never reads it afterwards.
 class SpanSink {
  public:
   virtual ~SpanSink() = default;
   virtual void OnSpanStart(const Span& span) = 0;
-  virtual void OnSpanEnd(const Span& span) = 0;
+  virtual void OnSpanEnd(Span&& span) = 0;
 };
 
 /// Collects spans for one experiment. Span ids and trace ids are handed out
@@ -109,9 +115,11 @@ class SpanSink {
 /// Two storage modes:
 ///  - kRetainAll (default): append-only vector, every span kept — the
 ///    post-hoc analysis mode the original obs layer shipped with.
-///  - kStream: only *open* spans are stored; a closed span is handed to the
-///    attached SpanSink and released, so tracer memory is O(in-flight) and
-///    retention policy lives entirely in the sink (see SamplingPipeline).
+///  - kStream: only *open* spans are stored; a closed span is moved into the
+///    attached SpanSink, so tracer memory is O(in-flight) and retention
+///    policy lives entirely in the sink (see SamplingPipeline). Open-span
+///    map nodes are recycled through a free list, so steady-state span
+///    start/end performs no allocation (attributes aside).
 ///    Read APIs (spans()/Find/Roots/Validate/Export*) only see what is
 ///    still stored; serve reads from the sink's retained store instead.
 class Tracer {
@@ -206,6 +214,8 @@ class Tracer {
   SymbolTable symbols_;  ///< Canonical span name/module strings.
   std::vector<Span> spans_;  ///< kRetainAll: spans_[id - 1] holds span `id`.
   std::unordered_map<uint64_t, Span> open_;  ///< kStream: open spans by id.
+  /// kStream: emptied open_ nodes, reused by StartSpanAt.
+  std::vector<std::unordered_map<uint64_t, Span>::node_type> free_nodes_;
   uint64_t next_trace_ = 1;
   uint64_t next_span_ = 1;
   uint64_t emitted_ = 0;

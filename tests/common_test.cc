@@ -2,8 +2,10 @@
 // hashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/hash.h"
 #include "common/money.h"
@@ -264,6 +266,92 @@ TEST(HistogramTest, ResetClears) {
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Quantile(0.5), 0.0);
+}
+
+/// Quantile as a scan from bucket 0 over every bucket: the reference the
+/// lowest-bucket start must match bit for bit.
+double FullScanQuantile(const Histogram& h, double q) {
+  if (h.count() == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const uint64_t target =
+      static_cast<uint64_t>(std::ceil(q * double(h.count())));
+  uint64_t seen = 0;
+  for (const auto& [bucket, n] : h.NonzeroBuckets()) {
+    seen += n;
+    if (seen >= target) {
+      return std::clamp(h.BucketMid(bucket), h.min(), h.max());
+    }
+  }
+  return h.max();
+}
+
+TEST(HistogramTest, QuantileMatchesFullScanReference) {
+  const double kMaxValues[] = {1e3, 1e6, 1e12};
+  const double kQuantiles[] = {0.0,  1e-4, 0.01,  0.25, 0.5,
+                               0.9, 0.99, 0.999, 1.0};
+  Rng rng(17);
+  auto random_value = [&rng](double max_value) {
+    switch (rng.NextBounded(5)) {
+      case 0:
+        return -double(rng.NextBounded(100));  // <= 0: bucket 0
+      case 1:
+        return rng.NextDouble(1e-6, 1.0);
+      case 2:
+        return max_value * rng.NextDouble(1.0, 10.0);  // clamped
+      default:
+        return rng.NextLogNormal(5.0, 3.0);
+    }
+  };
+  auto fill = [&](Histogram* h, double max_value, int n) {
+    for (int i = 0; i < n; ++i) {
+      h->AddN(random_value(max_value), 1 + rng.NextBounded(4));
+    }
+  };
+  int checks = 0;
+  auto check = [&](const Histogram& h, const std::string& where) {
+    for (double q : kQuantiles) {
+      EXPECT_EQ(h.Quantile(q), FullScanQuantile(h, q)) << where << " q=" << q;
+      ++checks;
+    }
+    const double q = rng.NextDouble();
+    EXPECT_EQ(h.Quantile(q), FullScanQuantile(h, q)) << where << " q=" << q;
+  };
+  for (int round = 0; round < 60; ++round) {
+    const std::string where = "round " + std::to_string(round);
+    const double max_value = kMaxValues[rng.NextBounded(3)];
+    Histogram h(max_value);
+    check(h, where + " empty");
+    fill(&h, max_value, 1 + int(rng.NextBounded(40)));
+    check(h, where + " filled");
+    for (int op = 0; op < 6; ++op) {
+      switch (rng.NextBounded(4)) {
+        case 0: {  // merge a histogram of a possibly different range
+          const double other_max = kMaxValues[rng.NextBounded(3)];
+          Histogram other(other_max);
+          fill(&other, other_max, int(rng.NextBounded(30)));
+          h.Merge(other);
+          check(h, where + " merged");
+          break;
+        }
+        case 1: {  // an empty narrow histogram widened by Merge
+          Histogram narrow(1e3);
+          narrow.Merge(h);
+          check(narrow, where + " merged into empty");
+          fill(&narrow, 1e3, 5);
+          check(narrow, where + " merged into empty, refilled");
+          break;
+        }
+        case 2:
+          h.Reset();
+          check(h, where + " reset");
+          break;
+        default:
+          fill(&h, max_value, 1 + int(rng.NextBounded(20)));
+          check(h, where + " refilled");
+      }
+    }
+  }
+  EXPECT_GT(checks, 1000);
 }
 
 TEST(FormatTest, HumanReadable) {

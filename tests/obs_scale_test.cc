@@ -4,7 +4,14 @@
 // the Observability::EnableScale wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_plan.h"
@@ -602,6 +609,536 @@ TEST(ObservabilityTest, EnableScaleRefusedAfterSpansEmitted) {
   Observability o(&sim);
   o.tracer.EmitSpan("req", "svc", {}, 0, 10);
   EXPECT_FALSE(o.EnableScale(Config(1.0)));
+}
+
+// ------------------------------------------------ flame differential
+
+/// The attribution algorithm before the scratch-taking rewrite (id-keyed
+/// depth map, fresh vectors per call), verbatim: the reference the
+/// interned flame fold is checked against.
+Result<TraceAttribution> RefAttributeTrace(const std::vector<Span>& spans,
+                                           uint64_t root_span_id) {
+  const Span* root = nullptr;
+  for (const Span& s : spans) {
+    if (s.id == root_span_id) {
+      root = &s;
+      break;
+    }
+  }
+  if (root == nullptr) {
+    return Status::NotFound("no span with id " + std::to_string(root_span_id));
+  }
+  if (!root->ended()) {
+    return Status::FailedPrecondition("root span " +
+                                      std::to_string(root_span_id) +
+                                      " is still open");
+  }
+
+  TraceAttribution out;
+  out.breakdown.total_us = root->duration_us();
+  out.self_us.assign(spans.size(), 0);
+  if (out.breakdown.total_us == 0) return out;
+
+  struct Interval {
+    SimTime start;
+    SimTime end;
+    int depth;
+    uint64_t id;
+    size_t index;
+    bool has_cat;
+    Category cat;
+  };
+  std::unordered_map<uint64_t, int> depth;
+  depth.reserve(spans.size());
+  depth[root_span_id] = 0;
+  size_t root_index = 0;
+  std::vector<Interval> intervals;
+  std::vector<SimTime> bounds{root->start_us, root->end_us};
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    if (s.id == root_span_id) {
+      root_index = i;
+      continue;
+    }
+    if (s.parent == 0) continue;
+    const auto dit = depth.find(s.parent);
+    if (dit == depth.end()) continue;
+    depth[s.id] = dit->second + 1;
+    if (!s.ended()) continue;
+    const auto it = s.attrs.find(kCategoryAttr);
+    const auto cat = it != s.attrs.end() ? ParseCategory(it->second)
+                                         : std::nullopt;
+    const SimTime lo = std::max(s.start_us, root->start_us);
+    const SimTime hi = std::min(s.end_us, root->end_us);
+    if (hi <= lo) continue;
+    intervals.push_back({lo, hi, depth[s.id], s.id, i, cat.has_value(),
+                         cat.value_or(Category::kOther)});
+    bounds.push_back(lo);
+    bounds.push_back(hi);
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+
+  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+    const SimTime lo = bounds[i];
+    const SimTime hi = bounds[i + 1];
+    const Interval* best_cat = nullptr;
+    const Interval* best_any = nullptr;
+    for (const Interval& iv : intervals) {
+      if (iv.start > lo || iv.end < hi) continue;
+      const bool deeper_any =
+          best_any == nullptr || iv.depth > best_any->depth ||
+          (iv.depth == best_any->depth && iv.id < best_any->id);
+      if (deeper_any) best_any = &iv;
+      if (!iv.has_cat) continue;
+      if (best_cat == nullptr || iv.depth > best_cat->depth ||
+          (iv.depth == best_cat->depth && iv.id < best_cat->id)) {
+        best_cat = &iv;
+      }
+    }
+    const Category cat =
+        best_cat != nullptr ? best_cat->cat : Category::kOther;
+    out.breakdown.by_category[static_cast<size_t>(cat)] += hi - lo;
+    out.self_us[best_any != nullptr ? best_any->index : root_index] += hi - lo;
+  }
+  return out;
+}
+
+/// The string-path flame fold before path interning, verbatim.
+struct RefFlame {
+  void FoldTrace(const std::vector<Span>& spans) {
+    if (spans.empty()) return;
+    ++folded_traces_;
+
+    std::unordered_set<uint64_t> present;
+    present.reserve(spans.size());
+    for (const Span& s : spans) present.insert(s.id);
+
+    std::unordered_map<uint64_t, const std::string*> path_of;
+    std::vector<std::string> paths(spans.size());
+    std::vector<uint64_t> group_roots;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const Span& s = spans[i];
+      const bool is_root = s.parent == 0 || !present.count(s.parent);
+      if (is_root) {
+        paths[i] = s.name;
+        group_roots.push_back(s.id);
+      } else {
+        auto it = path_of.find(s.parent);
+        paths[i] = it != path_of.end() ? *it->second + ";" + s.name : s.name;
+      }
+      path_of[s.id] = &paths[i];
+    }
+
+    std::vector<SimDuration> self(spans.size(), 0);
+    for (uint64_t root_id : group_roots) {
+      auto attributed = RefAttributeTrace(spans, root_id);
+      if (!attributed.ok()) continue;
+      for (size_t i = 0; i < spans.size(); ++i) {
+        self[i] += attributed->self_us[i];
+      }
+      const Span* root = nullptr;
+      for (const Span& s : spans) {
+        if (s.id == root_id) root = &s;
+      }
+      RootAggregate& agg = by_root_[root->name];
+      ++agg.count;
+      agg.breakdown.Accumulate(attributed->breakdown);
+      const auto tenant = root->attrs.find(kTenantAttr);
+      if (tenant != root->attrs.end()) {
+        RootAggregate& tagg = by_tenant_[tenant->second];
+        ++tagg.count;
+        tagg.breakdown.Accumulate(attributed->breakdown);
+      }
+    }
+
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const Span& s = spans[i];
+      if (!s.ended()) continue;
+      PathStat& stat = paths_[paths[i]];
+      ++stat.count;
+      stat.total_us += s.duration_us();
+      stat.self_us += self[i];
+      ++folded_spans_;
+    }
+  }
+
+  std::vector<std::pair<std::string, PathStat>> TopKBySelf(size_t k) const {
+    std::vector<std::pair<std::string, PathStat>> out(paths_.begin(),
+                                                      paths_.end());
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      if (a.second.self_us != b.second.self_us) {
+        return a.second.self_us > b.second.self_us;
+      }
+      return a.first < b.first;
+    });
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+
+  std::string ExportText() const {
+    std::string out;
+    char buf[96];
+    for (const auto& [path, stat] : paths_) {
+      std::snprintf(buf, sizeof(buf), " count=%llu total=%lld self=%lld\n",
+                    static_cast<unsigned long long>(stat.count),
+                    static_cast<long long>(stat.total_us),
+                    static_cast<long long>(stat.self_us));
+      out += path + buf;
+    }
+    return out;
+  }
+
+  std::map<std::string, PathStat> paths_;
+  std::map<std::string, RootAggregate> by_root_;
+  std::map<std::string, RootAggregate> by_tenant_;
+  uint64_t folded_spans_ = 0;
+  uint64_t folded_traces_ = 0;
+};
+
+std::string PathLines(const std::vector<std::pair<std::string, PathStat>>& v) {
+  std::string out;
+  for (const auto& [path, stat] : v) {
+    out += path + " " + std::to_string(stat.count) + " " +
+           std::to_string(stat.total_us) + " " +
+           std::to_string(stat.self_us) + "\n";
+  }
+  return out;
+}
+
+std::string PathLines(const std::map<std::string, PathStat>& m) {
+  return PathLines(
+      std::vector<std::pair<std::string, PathStat>>(m.begin(), m.end()));
+}
+
+/// One random id-sorted span group, shaped like the sampler's finalized
+/// groups and worse: several subtree roots, parents missing from the group
+/// (late and async groups), unended spans, zero-duration roots, repeated
+/// names, and "a;b", whose path collides with the chain "a" -> "b".
+std::vector<Span> RandomGroup(Rng* rng, uint64_t trace, uint64_t* next_id) {
+  static const char* const kNames[] = {"req", "exec", "queue", "a",
+                                       "b",   "a;b",  "exec"};
+  static const char* const kCats[] = {"exec",  "queue", "cold", "shuffle",
+                                      "retry", "bogus", ""};
+  static const char* const kTenants[] = {"t1", "t2", "t3"};
+  std::vector<Span> spans;
+  *next_id += 1 + rng->NextBounded(3);  // ids below the group: missing
+  const uint64_t first_id = *next_id;
+  const int n = 1 + int(rng->NextBounded(8));
+  for (int k = 0; k < n; ++k) {
+    Span s;
+    s.id = (*next_id)++;
+    if (rng->NextBounded(4) == 0) ++*next_id;  // an id gap
+    s.trace = trace;
+    s.name = kNames[rng->NextBounded(7)];
+    s.module = "m";
+    const uint64_t pick = rng->NextBounded(10);
+    const Span* parent = nullptr;
+    if (pick == 0 || (spans.empty() && pick < 5)) {
+      s.parent = 0;
+    } else if (pick == 1 || spans.empty()) {
+      s.parent = 1 + rng->NextBounded(first_id - 1);  // absent from group
+    } else {
+      parent = &spans[rng->NextBounded(spans.size())];
+      s.parent = parent->id;
+    }
+    s.start_us = parent != nullptr
+                     ? parent->start_us + SimTime(rng->NextBounded(200))
+                     : SimTime(rng->NextBounded(1000));
+    switch (rng->NextBounded(8)) {
+      case 0:
+        s.end_us = s.start_us;  // zero duration
+        break;
+      case 1:
+        s.end_us = s.start_us - 1;  // never ended
+        break;
+      default:
+        s.end_us = s.start_us + 1 + SimTime(rng->NextBounded(300));
+    }
+    const char* cat = kCats[rng->NextBounded(7)];
+    if (*cat != '\0') s.attrs[kCategoryAttr] = cat;
+    if (rng->NextBounded(3) == 0) {
+      s.attrs[kTenantAttr] = kTenants[rng->NextBounded(3)];
+    }
+    if (rng->NextBounded(6) == 0) s.attrs[kAsyncAttr] = "1";
+    spans.push_back(std::move(s));
+  }
+  return spans;
+}
+
+void ExpectSameFlame(const FlameProfile& got, const RefFlame& want,
+                     const std::string& where) {
+  EXPECT_EQ(PathLines(got.paths()), PathLines(want.paths_)) << where;
+  EXPECT_EQ(FormatRootAggregates(got.by_root()),
+            FormatRootAggregates(want.by_root_))
+      << where;
+  EXPECT_EQ(FormatRootAggregates(got.by_tenant()),
+            FormatRootAggregates(want.by_tenant_))
+      << where;
+  for (size_t k : {size_t(1), size_t(4), size_t(1000)}) {
+    EXPECT_EQ(PathLines(got.TopKBySelf(k)), PathLines(want.TopKBySelf(k)))
+        << where << " k=" << k;
+  }
+  EXPECT_EQ(got.ExportText(), want.ExportText()) << where;
+  EXPECT_EQ(got.folded_spans(), want.folded_spans_) << where;
+  EXPECT_EQ(got.folded_traces(), want.folded_traces_) << where;
+}
+
+TEST(FlameDifferentialTest, InternedFoldMatchesStringPathReference) {
+  FlameProfile flame;
+  RefFlame ref;
+  // A root named "a;b" and the chain a -> b render the same path; both
+  // folds must land in one entry.
+  std::vector<Span> collide;
+  collide.push_back(MakeSpan(1, 0, 1, "a;b", 0, 10));
+  flame.FoldTrace(collide);
+  ref.FoldTrace(collide);
+  collide = {MakeSpan(2, 0, 2, "a", 0, 30), MakeSpan(3, 2, 2, "b", 5, 25)};
+  flame.FoldTrace(collide);
+  ref.FoldTrace(collide);
+  ExpectSameFlame(flame, ref, "collision");
+  EXPECT_EQ(flame.paths().at("a;b").count, 2u);
+
+  Rng rng(2024);
+  uint64_t next_id = 10;
+  for (uint64_t t = 3; t < 600 && !HasFailure(); ++t) {
+    const std::vector<Span> group = RandomGroup(&rng, t, &next_id);
+    flame.FoldTrace(group);
+    ref.FoldTrace(group);
+    ExpectSameFlame(flame, ref, "group " + std::to_string(t));
+  }
+  EXPECT_GT(flame.by_tenant().size(), 1u);
+}
+
+// ------------------------------------------------------- node recycling
+
+TEST(RecyclingTest, RecycledTracerNodeCarriesNoStaleSpan) {
+  // A sink that copies leaves the closed span intact in the tracer's node:
+  // the worst case for the node's next occupant.
+  struct CopySink : SpanSink {
+    std::vector<Span> ended;
+    void OnSpanStart(const Span& s) override {
+      EXPECT_TRUE(s.attrs.empty()) << s.name;
+    }
+    void OnSpanEnd(Span&& s) override { ended.push_back(s); }
+  } sink;
+  sim::Simulation sim;
+  Tracer tracer(&sim);
+  ASSERT_TRUE(tracer.SetStoreMode(Tracer::StoreMode::kStream));
+  tracer.SetSink(&sink);
+  const TraceContext a = tracer.StartSpanAt("a", "m", {}, 0);
+  const TraceContext a_child = tracer.EmitSpan("c", "m", a, 0, 5, {{"x", "1"}});
+  tracer.SetAttr(a, "k", "v");
+  tracer.SetAttr(a, kOutcomeAttr, kOutcomeError);
+  tracer.EndSpanAt(a, 10);
+  const TraceContext b = tracer.StartSpanAt("b", "n", {}, 20);
+  const Span* open_b = tracer.Find(b.span_id);
+  ASSERT_NE(open_b, nullptr);
+  EXPECT_TRUE(open_b->attrs.empty());
+  EXPECT_FALSE(open_b->ended());
+  EXPECT_EQ(open_b->parent, 0u);
+  tracer.EndSpanAt(b, 30);
+  ASSERT_EQ(sink.ended.size(), 3u);
+  EXPECT_EQ(sink.ended[0].id, a_child.span_id);
+  EXPECT_EQ(sink.ended[1].attrs.size(), 2u);
+  EXPECT_EQ(sink.ended[1].attrs.at("k"), "v");
+  const Span& got_b = sink.ended[2];
+  EXPECT_EQ(got_b.id, b.span_id);
+  EXPECT_EQ(got_b.trace, b.trace_id);
+  EXPECT_EQ(got_b.parent, 0u);
+  EXPECT_EQ(got_b.name, "b");
+  EXPECT_EQ(got_b.module, "n");
+  EXPECT_EQ(got_b.start_us, 20);
+  EXPECT_EQ(got_b.end_us, 30);
+  EXPECT_TRUE(got_b.attrs.empty());
+  EXPECT_EQ(tracer.stored_span_count(), 0u);
+}
+
+/// A retained-store rendering split into per-trace blocks, keyed by the
+/// "trace=<id>" header.
+std::map<std::string, std::string> TraceBlocks(const std::string& text) {
+  std::map<std::string, std::string> blocks;
+  size_t at = 0;
+  while (at < text.size()) {
+    size_t next = text.find("\ntrace=", at);
+    next = next == std::string::npos ? text.size() : next + 1;
+    const std::string block = text.substr(at, next - at);
+    blocks[block.substr(0, block.find(' '))] = block;
+    at = next;
+  }
+  return blocks;
+}
+
+TEST(RecyclingTest, RecycledPendingGroupCarriesNoStaleState) {
+  sim::Simulation sim;
+  Observability o(&sim);
+  ScaleConfig cfg = Config(0.0, /*slow_us=*/500);
+  cfg.objectives.push_back(Availability("svc-avail", 0.9, {}));
+  cfg.objectives.back().per_tenant = true;
+  ASSERT_TRUE(o.EnableScale(cfg));
+  const SamplingPipeline* p = o.pipeline();
+
+  // Trace 1: tenant, error outcome, slow root, seven spans, then a late
+  // async follow-up that reuses (and returns) the same group node.
+  const TraceContext r1 = o.tracer.StartSpanAt("req", "svc", {}, 0);
+  o.tracer.SetAttr(r1, kTenantAttr, "t1");
+  for (int i = 0; i < 6; ++i) {
+    o.tracer.EmitSpan("exec", "svc", r1, i * 10, i * 10 + 5,
+                      {{"i", std::to_string(i)}});
+  }
+  o.tracer.SetAttr(r1, kOutcomeAttr, kOutcomeError);
+  o.tracer.EndSpanAt(r1, 1000);
+  o.tracer.EmitSpan("deliver", "svc", r1, 1100, 1200, {{kAsyncAttr, "1"}});
+  // Trace 2: healthy, fast and tenant-free, on the recycled group.
+  const uint64_t t2 = EmitTrace(&o, 2000, 50);
+  // Trace 3: fault; trace 4: healthy again.
+  const uint64_t t3 = EmitTrace(&o, 3000, 50, kOutcomeFault);
+  const uint64_t t4 = EmitTrace(&o, 4000, 50);
+
+  EXPECT_EQ(p->DecisionFor(r1.trace_id), RetainReason::kError);
+  EXPECT_EQ(p->DecisionFor(t2), RetainReason::kDropped);
+  EXPECT_EQ(p->DecisionFor(t3), RetainReason::kFault);
+  EXPECT_EQ(p->DecisionFor(t4), RetainReason::kDropped);
+  EXPECT_EQ(p->stats().late_groups, 1u);
+  EXPECT_EQ(p->stats().traces_finalized, 4u);
+  EXPECT_EQ(p->stats().incomplete_traces, 0u);
+  EXPECT_EQ(p->pending_span_count(), 0u);
+  EXPECT_EQ(o.slo()->TotalEvents("svc-avail"), 4u);
+  EXPECT_EQ(o.slo()->BadEvents("svc-avail"), 1u);
+  EXPECT_EQ(o.slo()->TenantTotalEvents("svc-avail", "t1"), 1u);
+
+  // Trace 5: root left open with a closed child; Flush finalizes it on a
+  // recycled group as incomplete, without trace 4's spans.
+  const TraceContext r5 = o.tracer.StartSpanAt("req", "svc", {}, 5000);
+  o.tracer.EmitSpan("exec", "svc", r5, 5000, 5010, {});
+  o.Flush();
+  EXPECT_EQ(p->stats().incomplete_traces, 1u);
+  EXPECT_EQ(p->stats().traces_finalized, 5u);
+  EXPECT_EQ(o.flame()->folded_spans(), 8u + 2u * 3u + 1u);
+
+  // The retained error trace kept exactly its own eight spans, attributes
+  // intact, and the fault trace exactly its two.
+  const std::map<std::string, std::string> blocks =
+      TraceBlocks(p->ExportText());
+  ASSERT_EQ(blocks.size(), 2u);
+  const std::string t1 = "trace=" + std::to_string(r1.trace_id);
+  const std::string& block = blocks.at(t1);
+  EXPECT_EQ(block.substr(0, block.find('\n') + 1), t1 + " reason=error\n");
+  EXPECT_EQ(std::count(block.begin(), block.end(), '\n'), 1 + 8) << block;
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_NE(block.find(" i=" + std::to_string(i) + "\n"),
+              std::string::npos)
+        << block;
+  }
+  EXPECT_NE(block.find("outcome=error tenant=t1\n"), std::string::npos)
+      << block;
+  EXPECT_NE(block.find("async=1\n"), std::string::npos) << block;
+  EXPECT_EQ(p->retained_span_count(), 8u + 2u);
+}
+
+/// Interleaved traces with per-span attributes, children left open past
+/// their root's close, error/fault outcomes, tenants, late async
+/// follow-ups and roots still open at Flush. Returns the full export.
+std::string RunRecyclingWorkload(double head_rate) {
+  sim::Simulation sim;
+  Observability o(&sim);
+  ScaleConfig cfg = Config(head_rate, /*slow_us=*/400);
+  cfg.objectives.push_back(Availability("svc-avail", 0.9, {}));
+  cfg.objectives.back().per_tenant = true;
+  EXPECT_TRUE(o.EnableScale(cfg));
+  // A root closed while a child is still open is scored when the child
+  // closes, after later roots: deliberate, and clamped identically at
+  // every sampling rate.
+  o.slo()->AllowClockRegression(true);
+  Rng rng(23);
+  std::vector<TraceContext> roots;
+  std::vector<TraceContext> children;
+  SimTime now = 0;
+  for (int step = 0; step < 600; ++step) {
+    now += 10;
+    const std::string tag = std::to_string(step);
+    switch (rng.NextBounded(6)) {
+      case 0:
+      case 1: {
+        const TraceContext root = o.tracer.StartSpanAt("req", "svc", {}, now);
+        if (rng.NextBounded(2) == 0) {
+          o.tracer.SetAttr(root, kTenantAttr,
+                           "t" + std::to_string(rng.NextBounded(3)));
+        }
+        roots.push_back(root);
+        break;
+      }
+      case 2: {
+        if (roots.empty()) break;
+        const TraceContext parent = roots[rng.NextBounded(roots.size())];
+        std::vector<std::pair<std::string, std::string>> attrs;
+        for (uint64_t a = rng.NextBounded(3); a > 0; --a) {
+          attrs.emplace_back("a" + std::to_string(a), tag);
+        }
+        if (rng.NextBounded(2) == 0) attrs.emplace_back(kCategoryAttr, "exec");
+        o.tracer.EmitSpan("exec", "svc", parent, now, now + 5,
+                          std::move(attrs));
+        break;
+      }
+      case 3: {
+        if (roots.empty()) break;
+        const TraceContext parent = roots[rng.NextBounded(roots.size())];
+        const TraceContext child =
+            o.tracer.StartSpanAt("wait", "svc", parent, now);
+        o.tracer.SetAttr(child, "w", tag);
+        children.push_back(child);
+        break;
+      }
+      case 4: {
+        if (children.empty()) break;
+        const size_t i = rng.NextBounded(children.size());
+        o.tracer.EndSpanAt(children[i], now);
+        children.erase(children.begin() + ptrdiff_t(i));
+        break;
+      }
+      default: {
+        if (roots.empty()) break;
+        const size_t i = rng.NextBounded(roots.size());
+        const TraceContext root = roots[i];
+        roots.erase(roots.begin() + ptrdiff_t(i));
+        const uint64_t outcome = rng.NextBounded(10);
+        if (outcome == 0) o.tracer.SetAttr(root, kOutcomeAttr, kOutcomeError);
+        if (outcome == 1) o.tracer.SetAttr(root, kOutcomeAttr, kOutcomeFault);
+        o.tracer.SetAttr(root, "r", tag);
+        o.tracer.EndSpanAt(root, now);
+        if (rng.NextBounded(4) == 0) {
+          o.tracer.EmitSpan("deliver", "svc", root, now, now + 3,
+                            {{kAsyncAttr, "1"}, {"d", tag}});
+        }
+      }
+    }
+  }
+  o.Flush();
+  return o.ExportAll();
+}
+
+TEST(RecyclingTest, SampledExportMatchesFullRetentionTraceByTrace) {
+  const std::string full = RunRecyclingWorkload(1.0);
+  const std::map<std::string, std::string> full_blocks =
+      TraceBlocks(Section(full, "== trace ==\n"));
+  for (double rate : {0.0, 0.3}) {
+    const std::string sampled = RunRecyclingWorkload(rate);
+    const std::map<std::string, std::string> blocks =
+        TraceBlocks(Section(sampled, "== trace ==\n"));
+    EXPECT_GT(blocks.size(), 5u) << "rate " << rate;
+    EXPECT_LT(blocks.size(), full_blocks.size()) << "rate " << rate;
+    for (const auto& [trace, block] : blocks) {
+      const auto it = full_blocks.find(trace);
+      ASSERT_NE(it, full_blocks.end()) << trace;
+      EXPECT_EQ(block, it->second) << "rate " << rate;
+    }
+    for (const char* header : {"== critical-path ==\n", "== flame ==\n",
+                               "== tenants ==\n", "== slo ==\n"}) {
+      EXPECT_EQ(Section(sampled, header), Section(full, header))
+          << "rate " << rate << " " << header;
+    }
+  }
+  EXPECT_NE(full.find("== tenants ==\n"), std::string::npos);
 }
 
 }  // namespace
