@@ -56,7 +56,8 @@ void RunExperiment() {
       auto stats = RunMapReduce(corpus, WordCountMap(), WordCountReduce(),
                                 &shuffle,
                                 MapReduceConfig{.num_mappers = par,
-                                                .num_reducers = par},
+                                                .num_reducers = par,
+                                                .task_model = {}},
                                 &output);
       table.AddRow({std::to_string(par) + "x" + std::to_string(par),
                     FormatDuration(double(stats->map_stage_us)),
@@ -86,7 +87,9 @@ void RunExperiment() {
       std::vector<std::string> output;
       auto stats = RunMapReduce(
           corpus, WordCountMap(), WordCountReduce(), &shuffle,
-          MapReduceConfig{.num_mappers = 16, .num_reducers = 16}, &output);
+          MapReduceConfig{.num_mappers = 16, .num_reducers = 16,
+                          .task_model = {}},
+          &output);
       jiffy_makespan = stats->makespan_us;
       table.AddRow({"jiffy (ephemeral blocks)",
                     FormatDuration(double(stats->makespan_us)), "1.0x"});
@@ -97,7 +100,9 @@ void RunExperiment() {
       std::vector<std::string> output;
       auto stats = RunMapReduce(
           corpus, WordCountMap(), WordCountReduce(), &shuffle,
-          MapReduceConfig{.num_mappers = 16, .num_reducers = 16}, &output);
+          MapReduceConfig{.num_mappers = 16, .num_reducers = 16,
+                          .task_model = {}},
+          &output);
       table.AddRow({"blob store (S3-style)",
                     FormatDuration(double(stats->makespan_us)),
                     bench::Fmt("%.1fx", double(stats->makespan_us) /
@@ -123,7 +128,9 @@ void RunExperiment() {
       std::vector<std::string> output;
       auto stats = RunMapReduce(
           corpus, WordCountMap(), WordCountReduce(), &shuffle,
-          MapReduceConfig{.num_mappers = 16, .num_reducers = 16}, &output);
+          MapReduceConfig{.num_mappers = 16, .num_reducers = 16,
+                          .task_model = {}},
+          &output);
       table.AddRow(
           {FormatCount(double(records)),
            FormatDuration(double(stats->makespan_us)),

@@ -284,15 +284,14 @@ HedgeResult RunHedge(bool hedged) {
   const int n = Small() ? 600 : 4000;
   Histogram e2e{double(kMinute)};
   SimDuration exec_total = 0;
-  bench::PaceArrivals(&sim, n, 2500, [&](int i) {
+  bench::PaceArrivals(&sim, n, 2500, [&](int) {
     auto cb = [&](const faas::InvocationResult& r) {
       if (!r.status.ok()) return;
       e2e.Add(double(r.end_us - r.submit_us));
       exec_total += r.exec_us;
     };
     if (hedged) {
-      platform.InvokeHedged("tail", "p", cb, {}, {},
-                            "req-" + std::to_string(i));
+      platform.InvokeHedged("tail", "p", cb);
     } else {
       platform.Invoke("tail", "p", cb);
     }

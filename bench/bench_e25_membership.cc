@@ -165,7 +165,8 @@ ScenarioResult RunScenario(bool guarded, uint64_t seed) {
   jiffy_ctl.AttachMembership(&cp_minor, jiffy_map, false);
 
   Check(pulsar
-            .CreateTopic("orders", {.partitions = 4,
+            .CreateTopic("orders", {.tenant = {},
+                                    .partitions = 4,
                                     .ensemble_size = 2,
                                     .write_quorum = 2,
                                     .ack_quorum = 2})
@@ -379,7 +380,8 @@ SweepCell RunSweepCell(uint64_t seed) {
   pulsar.AttachMembership(&transport, &cp_major, pubsub_map, true);
   pulsar.AttachMembership(&transport, &cp_minor, pubsub_map, false);
   Check(pulsar
-            .CreateTopic("t", {.partitions = 2,
+            .CreateTopic("t", {.tenant = {},
+                               .partitions = 2,
                                .ensemble_size = 2,
                                .write_quorum = 2,
                                .ack_quorum = 2})

@@ -51,7 +51,9 @@ ElasticityResult RunBurst(double burst_factor, size_t pool_slots) {
   // Fixed server pool.
   sim::Simulation sim2;
   faas::ServerPool pool(&sim2, {.num_servers = pool_slots,
-                                .per_server_concurrency = 1});
+                                .per_server_concurrency = 1,
+                                .breaker = {},
+                                .admission = {}});
   for (SimTime t : times) {
     sim2.ScheduleAt(t, [&pool, service] { pool.Submit(service); });
   }

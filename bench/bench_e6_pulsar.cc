@@ -168,7 +168,7 @@ void RunExperiment() {
   {
     sim::Simulation sim;
     PulsarCluster cluster(&sim, PulsarConfig{});
-    cluster.CreateTopic("t", {.partitions = 3});
+    cluster.CreateTopic("t", {.tenant = {}, .partitions = 3});
     std::set<std::string> got;
     cluster.Subscribe("t", "sub", SubscriptionType::kShared,
                       [&](const pubsub::Message& m) { got.insert(m.payload); });
@@ -206,7 +206,8 @@ BENCHMARK(BM_LedgerAppend)->Arg(1)->Arg(2)->Arg(3);
 void BM_Publish(benchmark::State& state) {
   sim::Simulation sim;
   PulsarCluster cluster(&sim, PulsarConfig{});
-  cluster.CreateTopic("t", {.partitions = uint32_t(state.range(0))});
+  cluster.CreateTopic("t",
+                      {.tenant = {}, .partitions = uint32_t(state.range(0))});
   const std::string payload(512, 'x');
   for (auto _ : state) {
     benchmark::DoNotOptimize(cluster.Publish("t", "", payload));

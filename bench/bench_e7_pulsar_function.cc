@@ -27,11 +27,11 @@ void RunExperiment() {
                      Geometry{20, 20}}) {
     sim::Simulation sim;
     pubsub::PulsarCluster pulsar(&sim, pubsub::PulsarConfig{});
-    pulsar.CreateTopic("events", {.partitions = 4});
+    pulsar.CreateTopic("events", {.tenant = {}, .partitions = 4});
     sketch::CountMinSketch cms(g.depth, g.width, 128);
     pubsub::FunctionWorker fn(
         &pulsar, {.name = "count-min", .input_topic = "events",
-                  .parallelism = 2},
+                  .output_topic = {}, .parallelism = 2},
         [&cms](const pubsub::Message& m, pubsub::FunctionContext&) {
           cms.Add(m.payload, 1);  // the paper's sketch.add(input, 1)
           return Status::OK();
@@ -94,7 +94,9 @@ void BM_EndToEndFunctionPipeline(benchmark::State& state) {
   pubsub::PulsarCluster pulsar(&sim, pubsub::PulsarConfig{});
   pulsar.CreateTopic("in", {});
   sketch::CountMinSketch cms(4, 256);
-  pubsub::FunctionWorker fn(&pulsar, {.name = "f", .input_topic = "in"},
+  pubsub::FunctionWorker fn(&pulsar,
+                            {.name = "f", .input_topic = "in",
+                             .output_topic = {}},
                             [&cms](const pubsub::Message& m,
                                    pubsub::FunctionContext&) {
                               cms.Add(m.payload, 1);

@@ -113,7 +113,7 @@ int main() {
   std::vector<std::string> output;
   auto stats = analytics::RunMapReduce(
       logs, analytics::WordCountMap(), analytics::WordCountReduce(), &shuffle,
-      {.num_mappers = 8, .num_reducers = 8}, &output);
+      {.num_mappers = 8, .num_reducers = 8, .task_model = {}}, &output);
   if (!stats.ok()) return 1;
   std::printf("MapReduce aggregation: %llu records -> %llu keys in %s "
               "(%s shuffled through Jiffy), cost %s\n",

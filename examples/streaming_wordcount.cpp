@@ -21,8 +21,8 @@ int main() {
   cfg.num_bookies = 6;
   pubsub::PulsarCluster pulsar(&sim, cfg);
 
-  if (!pulsar.CreateTopic("words", {.partitions = 4}).ok() ||
-      !pulsar.CreateTopic("alerts", {.partitions = 1}).ok()) {
+  if (!pulsar.CreateTopic("words", {.tenant = {}, .partitions = 4}).ok() ||
+      !pulsar.CreateTopic("alerts", {.tenant = {}, .partitions = 1}).ok()) {
     std::fprintf(stderr, "topic creation failed\n");
     return 1;
   }

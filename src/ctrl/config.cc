@@ -426,6 +426,7 @@ Subscription ConfigService::Subscribe(const std::string& key,
 Subscription ConfigService::SubscribeScoped(const std::string& key,
                                             const std::string& target,
                                             Watcher on_change) {
+  if (target.empty()) return Subscribe(key, std::move(on_change));
   if (!store_.Has(key)) return Subscription();
   if (on_change) {
     scoped_watchers_[key].push_back(ScopedWatch{target, std::move(on_change)});

@@ -264,7 +264,8 @@ class ConfigService {
 
   /// Target-scoped subscription: fires whenever the value *as seen by
   /// target* changes — scoped overrides covering it, base applies while it
-  /// holds no override, and retracts (which deliver the base value).
+  /// holds no override, and retracts (which deliver the base value). An
+  /// empty `target` is the base subscription: the same as Subscribe().
   Subscription SubscribeScoped(const std::string& key,
                                const std::string& target,
                                Watcher on_change = nullptr);

@@ -52,32 +52,26 @@ void FaasPlatform::BindMetrics() {
   h_.exec_latency_us =
       registry_->ResolveHistogram("faas.exec_latency_us", double(kHour));
   // Re-resolve known tenants into the (possibly re-homed) registry.
-  for (auto& [tenant, th] : tenant_handles_) {
-    const obs::LabelSet labels{.tenant = tenant};
-    th.invocations = registry_->ResolveCounter("faas.invocations", labels);
-    th.completions = registry_->ResolveCounter("faas.completions", labels);
-    th.errors = registry_->ResolveCounter("faas.errors", labels);
-    th.e2e_latency_us =
-        registry_->ResolveHistogram("faas.e2e_latency_us", labels,
-                                    double(kHour));
-  }
+  for (auto& [tenant, th] : tenant_handles_) th = ResolveTenant(tenant);
+}
+
+FaasPlatform::TenantHandles FaasPlatform::ResolveTenant(
+    const std::string& tenant) {
+  const obs::LabelSet labels{.tenant = tenant};
+  TenantHandles th;
+  th.invocations = registry_->ResolveCounter("faas.invocations", labels);
+  th.completions = registry_->ResolveCounter("faas.completions", labels);
+  th.errors = registry_->ResolveCounter("faas.errors", labels);
+  th.e2e_latency_us = registry_->ResolveHistogram("faas.e2e_latency_us",
+                                                  labels, double(kHour));
+  return th;
 }
 
 FaasPlatform::TenantHandles* FaasPlatform::TenantMetrics(
     const std::string& tenant) {
   if (tenant.empty()) return nullptr;
   auto [it, inserted] = tenant_handles_.try_emplace(tenant);
-  if (inserted) {
-    const obs::LabelSet labels{.tenant = tenant};
-    it->second.invocations =
-        registry_->ResolveCounter("faas.invocations", labels);
-    it->second.completions =
-        registry_->ResolveCounter("faas.completions", labels);
-    it->second.errors = registry_->ResolveCounter("faas.errors", labels);
-    it->second.e2e_latency_us =
-        registry_->ResolveHistogram("faas.e2e_latency_us", labels,
-                                    double(kHour));
-  }
+  if (inserted) it->second = ResolveTenant(tenant);
   return &it->second;
 }
 
@@ -335,18 +329,21 @@ Result<InvocationResult> FaasPlatform::InvokeSync(const std::string& function,
   return *out;
 }
 
-void FaasPlatform::Dispatch(std::shared_ptr<Invocation> inv) {
-  if (inv->abandoned) {
-    Complete(std::move(inv), /*cold=*/false, 0, 0,
-             Status::Cancelled("cancelled before dispatch"), "");
-    return;
+Status FaasPlatform::DoomedStatus(const Invocation& inv, const char* where) {
+  if (inv.abandoned) {
+    return Status::Cancelled(std::string("cancelled ") + where);
   }
-  if (GuardActive() && inv->deadline.Expired(sim_->Now())) {
-    guard_->RecordDeadlineExceeded("faas", inv->root_ctx,
-                                   inv->attempt_start_us, sim_->Now(),
-                                   inv->tenant);
-    Complete(std::move(inv), /*cold=*/false, 0, 0,
-             Status::DeadlineExceeded("deadline expired before dispatch"), "");
+  if (GuardActive() && inv.deadline.Expired(sim_->Now())) {
+    guard_->RecordDeadlineExceeded("faas", inv.root_ctx, inv.attempt_start_us,
+                                   sim_->Now(), inv.tenant);
+    return Status::DeadlineExceeded(std::string("deadline expired ") + where);
+  }
+  return Status::OK();
+}
+
+void FaasPlatform::Dispatch(std::shared_ptr<Invocation> inv) {
+  if (Status doomed = DoomedStatus(*inv, "before dispatch"); !doomed.ok()) {
+    Complete(std::move(inv), /*cold=*/false, 0, 0, std::move(doomed), "");
     return;
   }
   if (TryPlace(inv)) return;
@@ -383,44 +380,45 @@ bool FaasPlatform::TryPlace(std::shared_ptr<Invocation> inv) {
     }
   }
 
-  if (containers_.size() >= config_.max_concurrency) return false;
-  if (spec.max_concurrency > 0 &&
-      containers_per_function_[inv->function] >= spec.max_concurrency) {
-    return false;  // per-function reserved-concurrency cap
-  }
-
-  auto unit = cluster_->Allocate(
-      cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
-      spec.tenant.empty() ? inv->function : spec.tenant);
-  if (!unit.ok()) {
-    if (unit.status().IsResourceExhausted()) return false;
-    Complete(std::move(inv), false, 0, 0, unit.status(), "");
+  auto started = StartContainer(inv->function, spec);
+  if (!started.ok()) {
+    if (started.status().IsResourceExhausted()) return false;
+    Complete(std::move(inv), false, 0, 0, started.status(), "");
     return true;  // terminal: do not queue
   }
+  StartOnContainer(std::move(inv), started->container, /*cold=*/true,
+                   started->startup_us);
+  return true;
+}
 
+Result<FaasPlatform::ColdStart> FaasPlatform::StartContainer(
+    const std::string& function, const FunctionSpec& spec) {
+  if (containers_.size() >= config_.max_concurrency ||
+      (spec.max_concurrency > 0 &&
+       containers_per_function_[function] >= spec.max_concurrency)) {
+    return Status::ResourceExhausted("at capacity");
+  }
+  auto unit = cluster_->Allocate(
+      cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
+      spec.tenant.empty() ? function : spec.tenant);
+  if (!unit.ok()) return unit.status();
+
+  const cluster::StartupModel model =
+      cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda);
   auto c = std::make_unique<Container>();
   c->id = next_container_id_++;
-  c->function = inv->function;
+  c->function = function;
   c->unit = *unit;
   c->machine = cluster_->MachineOf(*unit).value_or(0);
   c->owner = cluster_->OwnerOf(*unit).value_or("");
   c->created_us = sim_->Now();
-  c->memory_mb =
-      spec.demand.memory_mb +
-      cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-          .overhead_mb;
+  c->memory_mb = spec.demand.memory_mb + model.overhead_mb;
   c->busy = true;
   Container* raw = c.get();
   containers_.emplace(raw->id, std::move(c));
-  containers_per_function_[raw->function] += 1;
+  containers_per_function_[function] += 1;
   h_.peak_containers.SetMax(double(containers_.size()));
-
-  const SimDuration startup =
-      cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-          .SampleStartup(&rng_) +
-      spec.init_us;
-  StartOnContainer(std::move(inv), raw, /*cold=*/true, startup);
-  return true;
+  return ColdStart{raw, model.SampleStartup(&rng_) + spec.init_us};
 }
 
 void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
@@ -512,9 +510,9 @@ void FaasPlatform::FinishAttempt(std::shared_ptr<Invocation> inv,
 void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
                                    SimDuration startup_us, SimDuration exec_us,
                                    Status attempt_status, std::string output) {
-  bool want_retry =
-      !attempt_status.ok() && inv->attempt + 1 < EffectiveMaxAttempts() &&
-      !inv->abandoned && !attempt_status.IsCancelled();
+  bool want_retry = !attempt_status.ok() &&
+                    config_.retry.ShouldRetry(inv->attempt) &&
+                    !inv->abandoned && !attempt_status.IsCancelled();
   if (want_retry && GuardActive() &&
       inv->deadline.Expired(sim_->Now())) {
     guard_->RecordDeadlineExceeded("faas", inv->root_ctx, sim_->Now(),
@@ -536,7 +534,7 @@ void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
     const int failed_attempt = inv->attempt;
     ++inv->attempt;
     inv->attempt_start_us = sim_->Now();
-    // Backoff (zero under the legacy policy) plus the usual dispatch hop.
+    // Backoff (zero for immediate retries) plus the usual dispatch hop.
     const SimDuration delay =
         config_.retry.BackoffFor(failed_attempt, &rng_) + SampleDispatchDelay();
     if (obs_ != nullptr && inv->root_ctx.valid() && delay > 0) {
@@ -693,19 +691,9 @@ void FaasPlatform::DrainPending() {
     auto inv = pending_.front();
     // Queued work that was cancelled or whose deadline lapsed is doomed —
     // running it would burn a container on a result nobody will read.
-    if (inv->abandoned) {
+    if (Status doomed = DoomedStatus(*inv, "while queued"); !doomed.ok()) {
       pending_.pop_front();
-      Complete(std::move(inv), /*cold=*/false, 0, 0,
-               Status::Cancelled("cancelled while queued"), "");
-      continue;
-    }
-    if (GuardActive() && inv->deadline.Expired(sim_->Now())) {
-      pending_.pop_front();
-      guard_->RecordDeadlineExceeded("faas", inv->root_ctx,
-                                     inv->attempt_start_us, sim_->Now(),
-                                     inv->tenant);
-      Complete(std::move(inv), /*cold=*/false, 0, 0,
-               Status::DeadlineExceeded("deadline expired while queued"), "");
+      Complete(std::move(inv), /*cold=*/false, 0, 0, std::move(doomed), "");
       continue;
     }
     // TryPlace either schedules the attempt (true) or cannot make progress
@@ -729,36 +717,11 @@ Result<size_t> FaasPlatform::Prewarm(const std::string& function,
   const FunctionSpec& spec = spec_it->second;
   size_t started = 0;
   for (size_t i = 0; i < count; ++i) {
-    if (containers_.size() >= config_.max_concurrency) break;
-    if (spec.max_concurrency > 0 &&
-        containers_per_function_[function] >= spec.max_concurrency) {
-      break;
-    }
-    auto unit = cluster_->Allocate(
-        cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
-        spec.tenant.empty() ? function : spec.tenant);
-    if (!unit.ok()) break;
-    auto c = std::make_unique<Container>();
-    c->id = next_container_id_++;
-    c->function = function;
-    c->unit = *unit;
-    c->machine = cluster_->MachineOf(*unit).value_or(0);
-    c->owner = cluster_->OwnerOf(*unit).value_or("");
-    c->created_us = sim_->Now();
-    c->memory_mb =
-        spec.demand.memory_mb +
-        cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-            .overhead_mb;
-    c->busy = true;  // initializing; parks warm when startup completes
-    const uint64_t cid = c->id;
-    containers_.emplace(cid, std::move(c));
-    containers_per_function_[function] += 1;
-    h_.peak_containers.SetMax(double(containers_.size()));
-    const SimDuration startup =
-        cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-            .SampleStartup(&rng_) +
-        spec.init_us;
-    sim_->Schedule(startup, [this, cid] {
+    auto cold = StartContainer(function, spec);
+    if (!cold.ok()) break;
+    // Busy while initializing; parks warm when startup completes.
+    const uint64_t cid = cold->container->id;
+    sim_->Schedule(cold->startup_us, [this, cid] {
       auto it = containers_.find(cid);
       if (it == containers_.end()) return;
       ReleaseToWarmPool(it->second.get());
@@ -775,41 +738,46 @@ bool FaasPlatform::KillContainer(uint64_t container_id,
   Container* c = it->second.get();
   h_.killed_containers.Inc();
 
-  if (c->inflight != nullptr) {
-    // A running attempt dies with its container: cancel the scheduled
-    // completion, bill the execution time burned so far, and push the
-    // invocation back through the retry path.
-    sim_->Cancel(c->inflight_event);
-    c->inflight_event = 0;
-    std::shared_ptr<Invocation> inv = std::move(c->inflight);
-    c->inflight.reset();
-    const FunctionSpec& spec = functions_.at(inv->function);
-    const SimDuration elapsed_exec =
-        std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
-    // A container killed mid-startup only burned part of its init; report
-    // the actual elapsed startup so the attempt timeline stays contiguous.
-    const SimTime place_us = c->exec_began_us - c->inflight_startup_us;
-    const SimDuration startup_us =
-        std::min(c->inflight_startup_us,
-                 std::max<SimDuration>(0, sim_->Now() - place_us));
-    inv->cost_so_far += ledger_.Charge(inv->id, inv->attempt, inv->function,
-                                       elapsed_exec, spec.demand.memory_mb);
-    h_.exec_latency_us.Add(double(elapsed_exec));
-    h_.failures.Inc();
-    inv->chaos_killed = true;
-    const bool cold = c->inflight_cold;
-    const Status kill_status =
-        Status::Unavailable("container killed: " + reason);
-    EmitAttemptSpans(*inv, sim_->Now(), startup_us, elapsed_exec, cold,
-                     kill_status, /*killed=*/true);
+  if (c->inflight == nullptr) {
     ForceDestroyContainer(container_id);
-    RetryOrComplete(std::move(inv), cold, startup_us, elapsed_exec,
-                    kill_status, "");
   } else {
+    // A running attempt dies with its container and goes back through the
+    // retry path.
+    Status kill_status = Status::Unavailable("container killed: " + reason);
+    StoppedAttempt a = StopAttempt(c, kill_status, /*killed=*/true);
+    h_.failures.Inc();
+    a.inv->chaos_killed = true;
     ForceDestroyContainer(container_id);
+    RetryOrComplete(std::move(a.inv), a.cold, a.startup_us, a.exec_us,
+                    std::move(kill_status), "");
   }
   DrainPending();  // freed capacity may admit a queued invocation
   return true;
+}
+
+FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
+                                                       const Status& status,
+                                                       bool killed) {
+  sim_->Cancel(c->inflight_event);
+  c->inflight_event = 0;
+  StoppedAttempt a;
+  a.inv = std::move(c->inflight);
+  c->inflight.reset();
+  a.cold = c->inflight_cold;
+  a.exec_us = std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
+  // An attempt stopped mid-startup only burned part of its init; report the
+  // elapsed startup so the attempt timeline stays contiguous.
+  const SimTime place_us = c->exec_began_us - c->inflight_startup_us;
+  a.startup_us = std::min(c->inflight_startup_us,
+                          std::max<SimDuration>(0, sim_->Now() - place_us));
+  Invocation& inv = *a.inv;
+  inv.cost_so_far +=
+      ledger_.Charge(inv.id, inv.attempt, inv.function, a.exec_us,
+                     functions_.at(inv.function).demand.memory_mb);
+  h_.exec_latency_us.Add(double(a.exec_us));
+  EmitAttemptSpans(inv, sim_->Now(), a.startup_us, a.exec_us, a.cold, status,
+                   killed);
+  return a;
 }
 
 size_t FaasPlatform::KillContainersOnMachine(cluster::MachineId machine,
@@ -850,32 +818,16 @@ SimDuration FaasPlatform::CancelInvocationInternal(uint64_t id,
              "");
     return 0;
   }
-  // Running on a container? Stop the attempt, bill the execution burned so
-  // far, and return the (healthy) container to the warm pool.
+  // Running on a container? Stop the attempt and return the (healthy)
+  // container to the warm pool.
   for (auto& [cid, c] : containers_) {
     if (c->inflight == nullptr || c->inflight->id != id) continue;
-    sim_->Cancel(c->inflight_event);
-    c->inflight_event = 0;
-    std::shared_ptr<Invocation> inv = std::move(c->inflight);
-    c->inflight.reset();
-    const FunctionSpec& spec = functions_.at(inv->function);
-    const SimDuration elapsed_exec =
-        std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
-    const SimTime place_us = c->exec_began_us - c->inflight_startup_us;
-    const SimDuration startup_us =
-        std::min(c->inflight_startup_us,
-                 std::max<SimDuration>(0, sim_->Now() - place_us));
-    inv->cost_so_far += ledger_.Charge(inv->id, inv->attempt, inv->function,
-                                       elapsed_exec, spec.demand.memory_mb);
-    h_.exec_latency_us.Add(double(elapsed_exec));
-    const bool cold = c->inflight_cold;
-    const Status cancel_status = Status::Cancelled(why);
-    EmitAttemptSpans(*inv, sim_->Now(), startup_us, elapsed_exec, cold,
-                     cancel_status, /*killed=*/false);
+    Status cancel_status = Status::Cancelled(why);
+    StoppedAttempt a = StopAttempt(c.get(), cancel_status, /*killed=*/false);
     ReleaseToWarmPool(c.get());
-    Complete(std::move(inv), cold, startup_us, elapsed_exec, cancel_status,
-             "");
-    return elapsed_exec;
+    Complete(std::move(a.inv), a.cold, a.startup_us, a.exec_us,
+             std::move(cancel_status), "");
+    return a.exec_us;
   }
   // Between events (dispatch delay or retry backoff): flag it; the next
   // Dispatch completes it Cancelled.
@@ -893,8 +845,7 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
                                             std::string payload,
                                             InvokeCallback cb,
                                             obs::TraceContext parent,
-                                            guard::Deadline deadline,
-                                            std::string hedge_key) {
+                                            guard::Deadline deadline) {
   // One immutable allocation serves the primary, the hedge duplicate and
   // every retry of either — the payload bytes are never copied again.
   auto shared_payload =
@@ -909,7 +860,6 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
   auto hs = std::make_shared<HedgeState>();
   hs->cb = std::move(cb);
   hs->submit_us = sim_->Now();
-  hs->key = std::move(hedge_key);
   if (obs_ != nullptr) {
     hs->root_ctx =
         obs_->tracer.StartSpan("hedged:" + function, "faas", parent);
@@ -932,9 +882,6 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
     return primary;
   }
   hs->primary_id = *primary;
-  if (hs->key.empty()) {
-    hs->key = "hedge:" + function + ":" + std::to_string(hs->primary_id);
-  }
   const SimDuration delay = guard_->hedge().Delay();
   hs->hedge_timer = sim_->Schedule(
       delay,
@@ -964,9 +911,7 @@ void FaasPlatform::OnHedgeResult(std::shared_ptr<HedgeState> hs,
   if (res.status.IsCancelled()) return;
   if (hs->done) {
     // A duplicate ran to completion after the winner (both finished before
-    // the cancel could land): the idempotency cache absorbs it — recorded
-    // as a duplicate, never applied or delivered a second time.
-    guard_->dedupe().Record(hs->key, res.status, res.output);
+    // the cancel could land): counted, never delivered a second time.
     guard_->RecordHedgeDeduped();
     return;
   }
@@ -975,7 +920,6 @@ void FaasPlatform::OnHedgeResult(std::shared_ptr<HedgeState> hs,
     sim_->Cancel(hs->hedge_timer);
     hs->hedge_timer = 0;
   }
-  guard_->dedupe().Record(hs->key, res.status, res.output);
   if (from_hedge) guard_->RecordHedgeWin();
   const uint64_t loser = from_hedge ? hs->primary_id : hs->hedge_id;
   if (loser != 0) {
@@ -1029,37 +973,33 @@ void FaasPlatform::AttachControl(ctrl::ConfigService* service,
        .min_value = 0.0,
        .max_value = 24.0 * 3600 * kSecond,
        .description = "platform admission estimated-wait bound (0 = unbounded)"});
-  auto subscribe = [service, &scope](const std::string& key,
-                                     ctrl::Watcher watcher) {
-    if (scope.empty()) {
-      service->Subscribe(key, std::move(watcher));
-    } else {
-      service->SubscribeScoped(key, scope, std::move(watcher));
-    }
-  };
   // Existing keep-alive timers keep their scheduled teardown; the new
   // retention governs containers going idle from now on (safe point:
   // between events, never mid-decision).
-  subscribe("faas.keep_alive_us", [this](const ctrl::ConfigUpdate& u) {
-    config_.keep_alive_us = u.value.as_int();
-  });
-  subscribe("faas.max_concurrency", [this](const ctrl::ConfigUpdate& u) {
-    const size_t next = size_t(u.value.as_int());
-    const bool raised = next > config_.max_concurrency;
-    config_.max_concurrency = next;
-    if (raised) DrainPending();  // new headroom may admit queued work
-  });
-  subscribe("faas.admission.max_queue_depth",
-            [this](const ctrl::ConfigUpdate& u) {
-              admission_.SetLimits(size_t(u.value.as_int()),
-                                   config_.admission.max_wait_us);
-              config_.admission.max_queue_depth = size_t(u.value.as_int());
-            });
-  subscribe("faas.admission.max_wait_us", [this](const ctrl::ConfigUpdate& u) {
-    config_.admission.max_wait_us = u.value.as_int();
-    admission_.SetLimits(config_.admission.max_queue_depth,
-                         u.value.as_int());
-  });
+  service->SubscribeScoped(
+      "faas.keep_alive_us", scope, [this](const ctrl::ConfigUpdate& u) {
+        config_.keep_alive_us = u.value.as_int();
+      });
+  service->SubscribeScoped(
+      "faas.max_concurrency", scope, [this](const ctrl::ConfigUpdate& u) {
+        const size_t next = size_t(u.value.as_int());
+        const bool raised = next > config_.max_concurrency;
+        config_.max_concurrency = next;
+        if (raised) DrainPending();  // new headroom may admit queued work
+      });
+  service->SubscribeScoped(
+      "faas.admission.max_queue_depth", scope,
+      [this](const ctrl::ConfigUpdate& u) {
+        admission_.SetLimits(size_t(u.value.as_int()),
+                             config_.admission.max_wait_us);
+        config_.admission.max_queue_depth = size_t(u.value.as_int());
+      });
+  service->SubscribeScoped(
+      "faas.admission.max_wait_us", scope, [this](const ctrl::ConfigUpdate& u) {
+        config_.admission.max_wait_us = u.value.as_int();
+        admission_.SetLimits(config_.admission.max_queue_depth,
+                             u.value.as_int());
+      });
 }
 
 void FaasPlatform::AttachChaos(chaos::InjectorRegistry* registry) {

@@ -40,15 +40,12 @@ struct FaasConfig {
   /// When at the cap: queue the invocation (true) or fail it (false,
   /// Lambda-style throttling).
   bool queue_on_throttle = true;
-  /// Automatic re-execution attempts after a failed/timed-out attempt.
-  /// Used when `retry.max_attempts <= 0` (legacy knob).
-  int max_retries = 2;
-  /// Retry policy shared with the orchestrator (chaos::RetryPolicy). The
-  /// default (`max_attempts = 0`, zero backoff) preserves the legacy
-  /// behaviour: `max_retries` immediate re-dispatches. Set a real policy
-  /// (e.g. RetryPolicy::ExponentialJitter) to get backoff + jitter between
-  /// attempts.
-  chaos::RetryPolicy retry{0, 0, 2.0, 10 * kSecond, 0.0};
+  /// How a failed or timed-out attempt is re-executed (the policy type the
+  /// orchestrator shares). `max_attempts` counts the first attempt too. The
+  /// default is 3 immediate attempts: each retry waits only for the usual
+  /// dispatch hop. Set e.g. RetryPolicy::ExponentialJitter to add backoff
+  /// and jitter between attempts.
+  chaos::RetryPolicy retry = chaos::RetryPolicy::Immediate(3);
   /// How long one injected network-delay spike inflates dispatch latency.
   SimDuration network_delay_window_us = 1 * kSecond;
   /// Median platform dispatch overhead (routing, auth, scheduling).
@@ -168,18 +165,16 @@ class FaasPlatform {
 
   /// Invoke with a deterministic hedge (taureau::guard, "The Tail at
   /// Scale"): if the primary attempt is still running after the tracked
-  /// hedge delay (~p95 of observed latencies), a duplicate launches; the
-  /// first terminal result wins, the loser is cancelled (its burned
-  /// execution is billed as duplicate-work cost, never to the caller), and
-  /// late duplicate completions are absorbed by the guard's idempotency
-  /// cache so the callback fires exactly once. Requires an attached Guard
-  /// (falls back to a plain Invoke otherwise). `hedge_key` deduplicates
-  /// side-effect application; empty derives one from the invocation id.
+  /// hedge delay (~p95 of observed latencies), a duplicate launches. The
+  /// first terminal result wins and is delivered exactly once; the loser
+  /// is cancelled (its burned execution is billed as duplicate-work cost,
+  /// never to the caller), and a duplicate that finished before the cancel
+  /// could land is dropped and counted in guard.hedge_deduped. Requires an
+  /// attached Guard (falls back to a plain Invoke otherwise).
   Result<uint64_t> InvokeHedged(const std::string& function,
                                 std::string payload, InvokeCallback cb,
                                 obs::TraceContext parent = {},
-                                guard::Deadline deadline = {},
-                                std::string hedge_key = "");
+                                guard::Deadline deadline = {});
 
   /// Cancels a pending or in-flight invocation: it completes Cancelled,
   /// any running attempt stops (billed for the execution burned so far)
@@ -333,7 +328,6 @@ class FaasPlatform {
     uint64_t hedge_id = 0;
     sim::EventId hedge_timer = 0;
     InvokeCallback cb;
-    std::string key;
     obs::TraceContext root_ctx;  ///< "hedged:<fn>" span.
     SimTime submit_us = 0;
   };
@@ -370,13 +364,6 @@ class FaasPlatform {
     obs::HistogramHandle e2e_latency_us;
   };
 
-  /// Total attempts allowed: the retry policy when set, else the legacy
-  /// max_retries knob.
-  int EffectiveMaxAttempts() const {
-    return config_.retry.max_attempts > 0 ? config_.retry.max_attempts
-                                          : config_.max_retries + 1;
-  }
-
   /// Consults the reuse layer for an idempotent invocation. True when the
   /// request was fully handled (cache hit / approximation scheduled, or
   /// attached as a singleflight follower) — the caller must not dispatch.
@@ -389,9 +376,24 @@ class FaasPlatform {
                          const Status& status, std::string output);
 
   void Dispatch(std::shared_ptr<Invocation> inv);
+  /// Non-OK when `inv` must not run: it was cancelled between events, or
+  /// its deadline lapsed (recorded with the guard) while guard enforcement
+  /// is active. `where` ends the message ("before dispatch").
+  Status DoomedStatus(const Invocation& inv, const char* where);
   /// Attempts to start the invocation now; false means no capacity and the
   /// caller should queue it.
   bool TryPlace(std::shared_ptr<Invocation> inv);
+  /// A freshly allocated container (busy while it initializes) and its
+  /// sampled cold-start time (runtime + function init).
+  struct ColdStart {
+    Container* container = nullptr;
+    SimDuration startup_us = 0;
+  };
+  /// Allocates and registers a new container for `function`.
+  /// ResourceExhausted when the account or per-function cap, or the
+  /// cluster, is full; other cluster errors pass through.
+  Result<ColdStart> StartContainer(const std::string& function,
+                                   const FunctionSpec& spec);
   void StartOnContainer(std::shared_ptr<Invocation> inv, Container* container,
                         bool cold, SimDuration startup_us);
   void FinishAttempt(std::shared_ptr<Invocation> inv, Container* container,
@@ -414,6 +416,18 @@ class FaasPlatform {
   /// Cancel + Complete(Cancelled); returns the execution time billed to
   /// the cancelled attempt (the hedge's duplicate-work cost).
   SimDuration CancelInvocationInternal(uint64_t id, const std::string& why);
+  /// An attempt stopped before it finished, as far as it got.
+  struct StoppedAttempt {
+    std::shared_ptr<Invocation> inv;
+    bool cold = false;
+    SimDuration startup_us = 0;  ///< Elapsed part of the startup.
+    SimDuration exec_us = 0;     ///< Elapsed (and billed) execution.
+  };
+  /// Stops the attempt running on `c` at the current time: cancels its
+  /// completion event, bills the execution burned so far and emits its
+  /// attempt spans ending now with `status`. The container is left as it
+  /// is; the caller destroys or releases it.
+  StoppedAttempt StopAttempt(Container* c, const Status& status, bool killed);
   /// One hedged attempt finished; first terminal result wins.
   void OnHedgeResult(std::shared_ptr<HedgeState> hs,
                      const InvocationResult& res, bool from_hedge);
@@ -427,6 +441,8 @@ class FaasPlatform {
   }
 
   void BindMetrics();
+  /// Resolves `tenant`'s labeled series in the current registry.
+  TenantHandles ResolveTenant(const std::string& tenant);
   /// Resolves (or returns the cached) labeled handles for `tenant`.
   TenantHandles* TenantMetrics(const std::string& tenant);
   /// Adds memory-time to the native integral and mirrors it to the gauge.

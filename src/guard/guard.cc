@@ -5,8 +5,7 @@ namespace taureau::guard {
 Guard::Guard(GuardConfig config)
     : config_(config),
       retry_budget_(config.retry_budget),
-      hedge_(config.hedge),
-      dedupe_(config.dedupe_capacity) {
+      hedge_(config.hedge) {
   BindMetrics();
 }
 
@@ -26,30 +25,24 @@ void Guard::BindMetrics() {
   h_.retry_tokens.Set(retry_budget_.tokens());
   if (epoch_provider_) h_.epoch.Set(double(epoch_provider_()));
   // Re-resolve known tenants into the (possibly re-homed) registry.
-  for (auto& [tenant, th] : tenant_handles_) {
-    const obs::LabelSet labels{.tenant = tenant};
-    th.sheds = registry_->ResolveCounter("guard.sheds", labels);
-    th.deadline_exceeded =
-        registry_->ResolveCounter("guard.deadline_exceeded", labels);
-    th.retries_granted =
-        registry_->ResolveCounter("guard.retries_granted", labels);
-    th.retries_denied =
-        registry_->ResolveCounter("guard.retries_denied", labels);
-  }
+  for (auto& [tenant, th] : tenant_handles_) th = ResolveTenant(tenant);
+}
+
+Guard::TenantHandles Guard::ResolveTenant(const std::string& tenant) {
+  const obs::LabelSet labels{.tenant = tenant};
+  TenantHandles th;
+  th.sheds = registry_->ResolveCounter("guard.sheds", labels);
+  th.deadline_exceeded =
+      registry_->ResolveCounter("guard.deadline_exceeded", labels);
+  th.retries_granted =
+      registry_->ResolveCounter("guard.retries_granted", labels);
+  th.retries_denied = registry_->ResolveCounter("guard.retries_denied", labels);
+  return th;
 }
 
 Guard::TenantHandles& Guard::TenantMetrics(const std::string& tenant) {
   auto [it, inserted] = tenant_handles_.try_emplace(tenant);
-  if (inserted) {
-    const obs::LabelSet labels{.tenant = tenant};
-    it->second.sheds = registry_->ResolveCounter("guard.sheds", labels);
-    it->second.deadline_exceeded =
-        registry_->ResolveCounter("guard.deadline_exceeded", labels);
-    it->second.retries_granted =
-        registry_->ResolveCounter("guard.retries_granted", labels);
-    it->second.retries_denied =
-        registry_->ResolveCounter("guard.retries_denied", labels);
-  }
+  if (inserted) it->second = ResolveTenant(tenant);
   return it->second;
 }
 

@@ -8,7 +8,8 @@
 //   - a RetryBudget gating all retry decisions (platform retries,
 //     orchestrator Retry nodes, client resubmits),
 //   - a HedgeDelayTracker feeding the p95-tracked hedge delay,
-//   - a bounded IdempotencyCache deduplicating hedged duplicates,
+//   - hedge accounting: the first result of a hedged request wins, late
+//     duplicates are dropped and counted in guard.hedge_deduped,
 //   - obs metrics + span emission for every guard decision, so the E21
 //     critical path itemizes shed / deadline / hedge time ("cat=guard").
 //
@@ -23,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "chaos/idempotency.h"
 #include "common/time_types.h"
 #include "ctrl/config.h"
 #include "guard/admission.h"
@@ -38,8 +38,6 @@ namespace taureau::guard {
 struct GuardConfig {
   RetryBudgetConfig retry_budget;
   HedgeConfig hedge;
-  /// Capacity of the hedge-deduplication idempotency cache (0 = unbounded).
-  size_t dedupe_capacity = 4096;
 };
 
 /// Aggregate counters, materialized from the metric registry on demand.
@@ -63,7 +61,6 @@ class Guard {
   const GuardConfig& config() const { return config_; }
   RetryBudget& retry_budget() { return retry_budget_; }
   HedgeDelayTracker& hedge() { return hedge_; }
-  chaos::IdempotencyCache& dedupe() { return dedupe_; }
 
   /// Re-homes guard metrics into the shared registry (same contract as
   /// every other module's AttachObservability) and enables span emission.
@@ -141,12 +138,13 @@ class Guard {
   };
 
   void BindMetrics();
+  /// Resolves `tenant`'s labeled series in the current registry.
+  TenantHandles ResolveTenant(const std::string& tenant);
   TenantHandles& TenantMetrics(const std::string& tenant);
 
   GuardConfig config_;
   RetryBudget retry_budget_;
   HedgeDelayTracker hedge_;
-  chaos::IdempotencyCache dedupe_;
 
   obs::Registry own_registry_;
   obs::Registry* registry_ = &own_registry_;

@@ -1,5 +1,7 @@
 #include "orchestration/composition.h"
 
+#include <algorithm>
+
 namespace taureau::orchestration {
 
 Composition Composition::Task(std::string function_name) {
@@ -44,14 +46,13 @@ Composition Composition::Named(std::string composition_name) {
 }
 
 Composition Composition::Retry(Composition child, int attempts) {
-  return Retry(std::move(child),
-               chaos::RetryPolicy::Immediate(attempts < 1 ? 1 : attempts));
+  return Retry(std::move(child), chaos::RetryPolicy::Immediate(attempts));
 }
 
 Composition Composition::Retry(Composition child, chaos::RetryPolicy policy) {
   auto node = std::make_shared<Node>();
   node->kind = Kind::kRetry;
-  node->retry_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
+  policy.max_attempts = std::max(1, policy.max_attempts);
   node->retry_policy = policy;
   node->children = {child.root()};
   return Composition(std::move(node));

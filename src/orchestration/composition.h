@@ -87,8 +87,8 @@ class Composition {
     std::vector<std::shared_ptr<const Node>> children;
     Aggregator aggregate;
     Predicate predicate;
-    int retry_attempts = 1;
-    /// Backoff schedule between retry attempts (zero for plain Retry).
+    /// kRetry: attempt count (>= 1) and the backoff between attempts (zero
+    /// for plain Retry).
     chaos::RetryPolicy retry_policy = chaos::RetryPolicy::None();
     char map_delimiter = '\n';
     /// kDeadline: per-stage time budget applied when the node executes.

@@ -430,7 +430,7 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
       auto state = std::make_shared<RetryState>();
       state->node = node;
       state->input = std::move(input);
-      state->attempts_left = node->retry_attempts;
+      state->attempts_left = node->retry_policy.max_attempts;
       // All attempts share the subtree key: steps that succeeded on an
       // earlier attempt replay from the idempotency cache on the re-run.
       state->key = std::move(key);
@@ -471,8 +471,8 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
                if (want_retry) {
                  // Exponential backoff (zero for plain Retry) before the
                  // next attempt; 0-based index of the attempt that failed.
-                 const int failed =
-                     state->node->retry_attempts - state->attempts_left - 1;
+                 const int failed = state->node->retry_policy.max_attempts -
+                                    state->attempts_left - 1;
                  const SimDuration backoff =
                      state->node->retry_policy.BackoffFor(failed, &rng_);
                  if (backoff > 0) {

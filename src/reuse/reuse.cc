@@ -159,25 +159,21 @@ void ReuseLayer::AttachControl(ctrl::ConfigService* service,
        .max_value = 1e15,
        .description = "result-cache byte budget (0 = unbounded)"});
 
-  auto subscribe = [&](const std::string& key, ctrl::Watcher watcher) {
-    if (scope.empty()) {
-      service->Subscribe(key, std::move(watcher));
-    } else {
-      service->SubscribeScoped(key, scope, std::move(watcher));
-    }
-  };
-  subscribe("reuse.enabled", [this](const ctrl::ConfigUpdate& u) {
-    enabled_ = u.value.as_bool();
-  });
-  subscribe("reuse.approx.burn_threshold",
-            [this](const ctrl::ConfigUpdate& u) {
-              approx_burn_threshold_ = u.value.AsNumber();
-            });
-  subscribe("reuse.cache.max_bytes", [this](const ctrl::ConfigUpdate& u) {
-    cache_.SetLimits(size_t(std::max<int64_t>(0, u.value.as_int())),
-                     cache_.config().max_entries);
-    SyncCacheGauges();
-  });
+  service->SubscribeScoped(
+      "reuse.enabled", scope, [this](const ctrl::ConfigUpdate& u) {
+        enabled_ = u.value.as_bool();
+      });
+  service->SubscribeScoped(
+      "reuse.approx.burn_threshold", scope,
+      [this](const ctrl::ConfigUpdate& u) {
+        approx_burn_threshold_ = u.value.AsNumber();
+      });
+  service->SubscribeScoped(
+      "reuse.cache.max_bytes", scope, [this](const ctrl::ConfigUpdate& u) {
+        cache_.SetLimits(size_t(std::max<int64_t>(0, u.value.as_int())),
+                         cache_.config().max_entries);
+        SyncCacheGauges();
+      });
 }
 
 ReuseStats ReuseLayer::stats() const {
@@ -206,29 +202,25 @@ void ReuseLayer::BindMetrics() {
   h_.saved_exec_us = registry_->ResolveCounter("reuse.saved_exec_us");
   h_.cache_bytes = registry_->ResolveGauge("reuse.cache_bytes");
   h_.cache_entries = registry_->ResolveGauge("reuse.cache_entries");
-  for (auto& [tenant, th] : tenant_handles_) {
-    const obs::LabelSet labels{.tenant = tenant};
-    th.hits = registry_->ResolveCounter("reuse.hits", labels);
-    th.misses = registry_->ResolveCounter("reuse.misses", labels);
-    th.coalesced = registry_->ResolveCounter("reuse.coalesced", labels);
-    th.approx_served =
-        registry_->ResolveCounter("reuse.approx_served", labels);
-  }
+  for (auto& [tenant, th] : tenant_handles_) th = ResolveTenant(tenant);
   SyncCacheGauges();
+}
+
+ReuseLayer::TenantHandles ReuseLayer::ResolveTenant(
+    const std::string& tenant) {
+  const obs::LabelSet labels{.tenant = tenant};
+  TenantHandles th;
+  th.hits = registry_->ResolveCounter("reuse.hits", labels);
+  th.misses = registry_->ResolveCounter("reuse.misses", labels);
+  th.coalesced = registry_->ResolveCounter("reuse.coalesced", labels);
+  th.approx_served = registry_->ResolveCounter("reuse.approx_served", labels);
+  return th;
 }
 
 ReuseLayer::TenantHandles& ReuseLayer::TenantMetrics(
     const std::string& tenant) {
   auto [it, inserted] = tenant_handles_.try_emplace(tenant);
-  if (inserted) {
-    const obs::LabelSet labels{.tenant = tenant};
-    it->second.hits = registry_->ResolveCounter("reuse.hits", labels);
-    it->second.misses = registry_->ResolveCounter("reuse.misses", labels);
-    it->second.coalesced =
-        registry_->ResolveCounter("reuse.coalesced", labels);
-    it->second.approx_served =
-        registry_->ResolveCounter("reuse.approx_served", labels);
-  }
+  if (inserted) it->second = ResolveTenant(tenant);
   return it->second;
 }
 

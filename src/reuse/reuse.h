@@ -186,6 +186,8 @@ class ReuseLayer {
   };
 
   void BindMetrics();
+  /// Resolves `tenant`'s labeled series in the current registry.
+  TenantHandles ResolveTenant(const std::string& tenant);
   TenantHandles& TenantMetrics(const std::string& tenant);
   void SyncCacheGauges();
 

@@ -255,6 +255,27 @@ TEST(ConfigService, ScopedOverridesLayerOverBase) {
   EXPECT_EQ(m1_seen, (std::vector<int64_t>{100, 2}));
 }
 
+TEST(ConfigService, EmptyScopeIsTheBaseSubscription) {
+  sim::Simulation sim;
+  ConfigService service(&sim);
+  ASSERT_TRUE(service.EnsureDefined(Spec("k", ConfigValue::Int(1))).ok());
+  std::vector<std::string> fired;
+  auto watcher = [&fired](std::string name) {
+    return [&fired, name](const ConfigUpdate&) { fired.push_back(name); };
+  };
+  service.Subscribe("k", watcher("base-1"));
+  service.SubscribeScoped("k", "", watcher("empty-scope-1"));
+  service.Subscribe("k", watcher("base-2"));
+  service.SubscribeScoped("k", "", watcher("empty-scope-2"));
+
+  service.Push("k", ConfigValue::Int(2));
+  sim.Run();
+  EXPECT_EQ(fired, (std::vector<std::string>{"base-1", "empty-scope-1",
+                                             "base-2", "empty-scope-2"}));
+  // The handle reads the base value, like Subscribe's.
+  EXPECT_EQ(service.SubscribeScoped("k", "").AsInt(), 2);
+}
+
 TEST(ConfigService, DelayedScopedPushDroppedAfterNewerRetract) {
   sim::Simulation sim;
   chaos::InjectorRegistry injector(&sim);

@@ -2,6 +2,7 @@
 // throttling, timeouts, retries, billing, server-pool baseline.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 
 #include "cluster/cluster.h"
@@ -154,7 +155,7 @@ TEST(FaasPlatformTest, StatelessnessContainerCacheScopedToContainer) {
 
 TEST(FaasPlatformTest, TimeoutKillsAndRetries) {
   FaasConfig cfg;
-  cfg.max_retries = 1;
+  cfg.retry = chaos::RetryPolicy::Immediate(2);
   Fixture f(cfg);
   FunctionSpec spec = f.SimpleSpec("slow", /*exec=*/10 * kMinute);
   spec.timeout_us = 1 * kSecond;
@@ -169,7 +170,7 @@ TEST(FaasPlatformTest, TimeoutKillsAndRetries) {
 
 TEST(FaasPlatformTest, InjectedFailureRetriesThenSucceeds) {
   FaasConfig cfg;
-  cfg.max_retries = 5;
+  cfg.retry = chaos::RetryPolicy::Immediate(6);
   Fixture f(cfg);
   FunctionSpec spec = f.SimpleSpec("flaky");
   int calls = 0;
@@ -189,7 +190,7 @@ TEST(FaasPlatformTest, InjectedFailureRetriesThenSucceeds) {
 
 TEST(FaasPlatformTest, RetriesExhaustedReportsFailure) {
   FaasConfig cfg;
-  cfg.max_retries = 2;
+  cfg.retry = chaos::RetryPolicy::Immediate(3);
   Fixture f(cfg);
   FunctionSpec spec = f.SimpleSpec("doomed");
   spec.handler = [](const std::string&, InvocationContext&)
@@ -205,7 +206,7 @@ TEST(FaasPlatformTest, RetriesExhaustedReportsFailure) {
 TEST(FaasPlatformTest, EveryAttemptIsBilled) {
   // Real FaaS platforms bill failed attempts too.
   FaasConfig cfg;
-  cfg.max_retries = 2;
+  cfg.retry = chaos::RetryPolicy::Immediate(3);
   Fixture f(cfg);
   FunctionSpec spec = f.SimpleSpec("doomed");
   spec.handler = [](const std::string&, InvocationContext&)
@@ -340,6 +341,259 @@ TEST(FaasPlatformTest, PerByteExecModelScalesWithPayload) {
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(large.ok());
   EXPECT_GT(large->exec_us, small->exec_us * 50);
+}
+
+// ------------------------------------------- Cancellation and chaos kills
+
+// A platform with tracing attached, so a stopped attempt's queue -> cold ->
+// exec timeline can be checked span by span.
+struct TracedFixture : Fixture {
+  obs::Observability o{&sim};
+
+  explicit TracedFixture(FaasConfig cfg = {}) : Fixture(cfg) {
+    platform->AttachObservability(&o);
+  }
+
+  /// The children of root `root_index`, by span name.
+  std::map<std::string, const obs::Span*> Children(size_t root_index) const {
+    std::map<std::string, const obs::Span*> out;
+    const auto roots = o.tracer.Roots();
+    if (root_index >= roots.size()) return out;
+    for (uint64_t id : o.tracer.ChildrenOf(roots[root_index])) {
+      const obs::Span* s = o.tracer.Find(id);
+      out[s->name.str()] = s;
+    }
+    return out;
+  }
+
+  const obs::Span* Root(size_t root_index) const {
+    const auto roots = o.tracer.Roots();
+    return root_index < roots.size() ? o.tracer.Find(roots[root_index])
+                                     : nullptr;
+  }
+};
+
+// The single attempt of a stopped invocation: queue -> cold-start -> exec,
+// contiguous, the last one ending at `stop_us`, with durations matching the
+// result.
+void ExpectStoppedAttemptSpans(const TracedFixture& f,
+                               const InvocationResult& res, SimTime stop_us) {
+  const auto spans = f.Children(0);
+  ASSERT_EQ(spans.size(), 3u);
+  const obs::Span* queue = spans.at("queue");
+  const obs::Span* cold = spans.at("cold-start");
+  const obs::Span* exec = spans.at("exec");
+  EXPECT_EQ(queue->start_us, res.submit_us);
+  EXPECT_EQ(queue->end_us, cold->start_us);
+  EXPECT_EQ(cold->end_us, exec->start_us);
+  EXPECT_EQ(exec->end_us, stop_us);
+  EXPECT_EQ(cold->duration_us(), res.startup_us);
+  EXPECT_EQ(exec->duration_us(), res.exec_us);
+  EXPECT_EQ(exec->attrs.at("status"), StatusCodeName(res.status.code()));
+  EXPECT_EQ(f.Root(0)->end_us, stop_us);
+}
+
+TEST(FaasPlatformTest, CancelWhileQueuedNeverRuns) {
+  FaasConfig cfg;
+  cfg.max_concurrency = 1;
+  TracedFixture f(cfg);
+  ASSERT_TRUE(f.platform->RegisterFunction(f.SimpleSpec("fn", kSecond)).ok());
+  std::optional<InvocationResult> first, second;
+  ASSERT_TRUE(f.platform
+                  ->Invoke("fn", "a",
+                           [&](const InvocationResult& r) { first = r; })
+                  .ok());
+  auto id = f.platform->Invoke("fn", "b",
+                               [&](const InvocationResult& r) { second = r; });
+  ASSERT_TRUE(id.ok());
+  f.sim.ScheduleAt(500 * kMillisecond, [&] {
+    EXPECT_EQ(f.platform->pending_queue_depth(), 1u);
+    EXPECT_TRUE(f.platform->CancelInvocation(*id));
+    EXPECT_EQ(f.platform->pending_queue_depth(), 0u);
+    ASSERT_TRUE(second.has_value());  // completes at the cancel, not later
+  });
+  f.sim.Run();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(first->status.ok());
+  EXPECT_TRUE(second->status.IsCancelled());
+  EXPECT_EQ(second->attempts, 1);
+  EXPECT_FALSE(second->cold_start);
+  EXPECT_EQ(second->startup_us, 0);
+  EXPECT_EQ(second->exec_us, 0);
+  EXPECT_EQ(second->end_us, 500 * kMillisecond);
+  EXPECT_EQ(second->cost, Money::Zero());
+  EXPECT_EQ(f.platform->ledger().record_count(), 1u);  // the first only
+  EXPECT_FALSE(f.platform->CancelInvocation(*id));     // already terminal
+  // It never reached a container: no attempt spans, root ends at the cancel.
+  EXPECT_TRUE(f.Children(1).empty());
+  EXPECT_EQ(f.Root(1)->end_us, 500 * kMillisecond);
+  EXPECT_EQ(f.Root(1)->attrs.at("status"), "Cancelled");
+}
+
+TEST(FaasPlatformTest, CancelDuringDispatchDelayCompletesAtDispatch) {
+  Fixture f;
+  ASSERT_TRUE(f.platform->RegisterFunction(f.SimpleSpec("fn")).ok());
+  std::optional<InvocationResult> res;
+  auto id = f.platform->Invoke("fn", "",
+                               [&](const InvocationResult& r) { res = r; });
+  ASSERT_TRUE(id.ok());
+  EXPECT_TRUE(f.platform->CancelInvocation(*id));
+  EXPECT_FALSE(res.has_value());  // the callback never fires inside Cancel
+  f.sim.Run();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(res->status.IsCancelled());
+  EXPECT_EQ(res->attempts, 1);
+  EXPECT_EQ(res->startup_us, 0);
+  EXPECT_EQ(res->exec_us, 0);
+  EXPECT_GT(res->end_us, 0);  // at the dispatch event
+  EXPECT_EQ(res->cost, Money::Zero());
+  EXPECT_EQ(f.platform->ledger().record_count(), 0u);
+  EXPECT_EQ(f.platform->metrics().cold_starts, 0u);
+  EXPECT_EQ(f.platform->active_containers(), 0u);
+}
+
+TEST(FaasPlatformTest, CancelMidColdStartBillsNoExecAndKeepsContainer) {
+  TracedFixture f;
+  const FunctionSpec spec = f.SimpleSpec("fn", 10 * kSecond);
+  ASSERT_TRUE(f.platform->RegisterFunction(spec).ok());
+  std::optional<InvocationResult> res;
+  auto id = f.platform->Invoke("fn", "",
+                               [&](const InvocationResult& r) { res = r; });
+  ASSERT_TRUE(id.ok());
+  const SimTime stop_us = 50 * kMillisecond;  // startup takes >= 100 ms
+  f.sim.ScheduleAt(stop_us, [&] {
+    EXPECT_TRUE(f.platform->CancelInvocation(*id));
+    // The container is healthy: it returns to the warm pool.
+    EXPECT_EQ(f.platform->active_containers(), 1u);
+    EXPECT_EQ(f.platform->warm_container_count("fn"), 1u);
+  });
+  f.sim.Run();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(res->status.IsCancelled());
+  EXPECT_EQ(res->attempts, 1);
+  EXPECT_TRUE(res->cold_start);
+  EXPECT_EQ(res->end_us, stop_us);
+  EXPECT_EQ(res->exec_us, 0);
+  EXPECT_GT(res->startup_us, 0);
+  EXPECT_LT(res->startup_us, stop_us);
+  ASSERT_EQ(f.platform->ledger().record_count(), 1u);
+  EXPECT_EQ(f.platform->ledger().records()[0].raw_duration_us, 0);
+  EXPECT_EQ(res->cost, f.platform->ledger().Price(0, spec.demand.memory_mb));
+  EXPECT_EQ(res->cost, f.platform->ledger().Total());
+  EXPECT_EQ(f.platform->metrics().failures, 0u);
+  EXPECT_EQ(f.platform->metrics().exec_latency_us.count(), 1u);
+  ExpectStoppedAttemptSpans(f, *res, stop_us);
+}
+
+TEST(FaasPlatformTest, CancelMidExecBillsElapsedExecOnly) {
+  TracedFixture f;
+  const FunctionSpec spec = f.SimpleSpec("fn", 10 * kSecond);
+  ASSERT_TRUE(f.platform->RegisterFunction(spec).ok());
+  std::optional<InvocationResult> res;
+  auto id = f.platform->Invoke("fn", "",
+                               [&](const InvocationResult& r) { res = r; });
+  ASSERT_TRUE(id.ok());
+  const SimTime stop_us = 5 * kSecond;
+  f.sim.ScheduleAt(stop_us, [&] {
+    EXPECT_TRUE(f.platform->CancelInvocation(*id));
+    EXPECT_EQ(f.platform->warm_container_count("fn"), 1u);
+  });
+  f.sim.Run();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(res->status.IsCancelled());
+  EXPECT_EQ(res->attempts, 1);
+  EXPECT_TRUE(res->cold_start);
+  EXPECT_EQ(res->end_us, stop_us);
+  EXPECT_GT(res->startup_us, 100 * kMillisecond);  // runtime + init, whole
+  EXPECT_GT(res->exec_us, 4 * kSecond);
+  EXPECT_LT(res->exec_us, stop_us);
+  ASSERT_EQ(f.platform->ledger().record_count(), 1u);
+  EXPECT_EQ(f.platform->ledger().records()[0].raw_duration_us, res->exec_us);
+  EXPECT_EQ(res->cost,
+            f.platform->ledger().Price(res->exec_us, spec.demand.memory_mb));
+  EXPECT_EQ(f.platform->metrics().failures, 0u);
+  ExpectStoppedAttemptSpans(f, *res, stop_us);
+  EXPECT_EQ(f.Children(0).at("exec")->attrs.count("killed"), 0u);
+}
+
+TEST(FaasPlatformTest, ChaosKillMidColdStartDestroysContainer) {
+  FaasConfig cfg;
+  cfg.retry = chaos::RetryPolicy::None();  // surface the killed attempt
+  TracedFixture f(cfg);
+  const FunctionSpec spec = f.SimpleSpec("fn", 10 * kSecond);
+  ASSERT_TRUE(f.platform->RegisterFunction(spec).ok());
+  std::optional<InvocationResult> res;
+  ASSERT_TRUE(f.platform
+                  ->Invoke("fn", "",
+                           [&](const InvocationResult& r) { res = r; })
+                  .ok());
+  const SimTime stop_us = 50 * kMillisecond;
+  f.sim.ScheduleAt(stop_us, [&] {
+    EXPECT_TRUE(f.platform->KillContainer(/*first container=*/1, "test"));
+    EXPECT_EQ(f.platform->active_containers(), 0u);
+    EXPECT_EQ(f.platform->warm_container_count("fn"), 0u);
+  });
+  f.sim.Run();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(res->status.IsUnavailable());
+  EXPECT_EQ(res->attempts, 1);
+  EXPECT_TRUE(res->cold_start);
+  EXPECT_EQ(res->end_us, stop_us);
+  EXPECT_EQ(res->exec_us, 0);
+  EXPECT_GT(res->startup_us, 0);
+  EXPECT_LT(res->startup_us, stop_us);
+  ASSERT_EQ(f.platform->ledger().record_count(), 1u);
+  EXPECT_EQ(f.platform->ledger().records()[0].raw_duration_us, 0);
+  EXPECT_EQ(res->cost, f.platform->ledger().Price(0, spec.demand.memory_mb));
+  const auto& m = f.platform->metrics();
+  EXPECT_EQ(m.killed_containers, 1u);
+  EXPECT_EQ(m.failures, 1u);
+  EXPECT_EQ(m.exhausted, 1u);
+  EXPECT_EQ(m.chaos_recoveries, 0u);
+  ExpectStoppedAttemptSpans(f, *res, stop_us);
+  EXPECT_EQ(f.Children(0).at("exec")->attrs.at("killed"), "1");
+}
+
+TEST(FaasPlatformTest, ChaosKillMidExecRetriesOnFreshContainer) {
+  TracedFixture f;  // default policy: 3 immediate attempts
+  const FunctionSpec spec = f.SimpleSpec("fn", 1 * kSecond);
+  ASSERT_TRUE(f.platform->RegisterFunction(spec).ok());
+  std::optional<InvocationResult> res;
+  ASSERT_TRUE(f.platform
+                  ->Invoke("fn", "",
+                           [&](const InvocationResult& r) { res = r; })
+                  .ok());
+  const SimTime kill_us = 800 * kMillisecond;  // exec began by ~352 ms
+  f.sim.ScheduleAt(kill_us, [&] {
+    EXPECT_TRUE(f.platform->KillContainer(/*first container=*/1, "test"));
+  });
+  f.sim.Run();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(res->status.ok());
+  EXPECT_EQ(res->attempts, 2);
+  EXPECT_TRUE(res->cold_start);  // the retry cold-starts a new container
+  EXPECT_EQ(res->exec_us, 1 * kSecond);
+  const auto& records = f.platform->ledger().records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_GT(records[0].raw_duration_us, 0);
+  EXPECT_LT(records[0].raw_duration_us, 1 * kSecond);
+  EXPECT_EQ(res->cost, f.platform->ledger().Total());
+  const auto& m = f.platform->metrics();
+  EXPECT_EQ(m.killed_containers, 1u);
+  EXPECT_EQ(m.cold_starts, 2u);
+  EXPECT_EQ(m.chaos_recoveries, 1u);
+  // The killed attempt's exec span ends at the kill and bills what it ran.
+  int killed_execs = 0;
+  for (const auto& root_child : f.o.tracer.ChildrenOf(f.o.tracer.Roots()[0])) {
+    const obs::Span* s = f.o.tracer.Find(root_child);
+    if (s->name == "exec" && s->attrs.count("killed")) {
+      ++killed_execs;
+      EXPECT_EQ(s->end_us, kill_us);
+      EXPECT_EQ(s->duration_us(), records[0].raw_duration_us);
+    }
+  }
+  EXPECT_EQ(killed_execs, 1);
 }
 
 // ---------------------------------------------------------------- Billing

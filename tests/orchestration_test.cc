@@ -47,7 +47,12 @@ TEST(CompositionTest, BuildersProduceExpectedShapes) {
       {Composition::Task("a"), seq, Composition::Named("other")});
   EXPECT_EQ(par.LeafCount(), 4u);
   auto retry = Composition::Retry(Composition::Task("a"), 3);
-  EXPECT_EQ(retry.root()->retry_attempts, 3);
+  EXPECT_EQ(retry.root()->retry_policy.max_attempts, 3);
+  // Retry clamps to at least one attempt.
+  EXPECT_EQ(Composition::Retry(Composition::Task("a"), 0)
+                .root()
+                ->retry_policy.max_attempts,
+            1);
 }
 
 TEST(OrchestratorTest, SequencePipesOutputs) {
