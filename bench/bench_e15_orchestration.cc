@@ -36,6 +36,8 @@ struct Env {
 };
 
 void RunExperiment() {
+  // Acceptance: every E15a row single-billed and every E15c row ok.
+  bool billed_exactly = true;
   // Part 1: chain depth — cost exactly linear, zero orchestration charges.
   {
     bench::Table table({"chain depth", "invocations", "total cost",
@@ -47,10 +49,12 @@ void RunExperiment() {
       auto res = env.orch.RunSync(Composition::Sequence(std::move(steps)), "");
       const Money per = Money::FromNanoDollars(res->cost.nano_dollars() /
                                                depth);
+      const bool exact = res->cost == env.platform.ledger().Total();
+      billed_exactly = billed_exactly && exact;
       table.AddRow({bench::FmtInt(depth),
                     bench::FmtInt(int64_t(res->function_invocations)),
                     res->cost.ToString(), per.ToString(),
-                    res->cost == env.platform.ledger().Total() ? "yes" : "NO"});
+                    exact ? "yes" : "NO"});
     }
     table.Print("E15a: no double billing — chains charge exactly the sum of "
                 "their steps");
@@ -97,17 +101,22 @@ void RunExperiment() {
       }
       auto res = env.orch.RunSync(
           Composition::Named("lvl-" + std::to_string(depth)), "");
+      const bool ok = res->status.ok() &&
+                      res->cost == env.platform.ledger().Total();
+      billed_exactly = billed_exactly && ok;
       table.AddRow({bench::FmtInt(depth),
                     bench::FmtInt(int64_t(res->function_invocations)),
                     res->cost.ToString(),
-                    res->status.ok() &&
-                            res->cost == env.platform.ledger().Total()
-                        ? "ok, single-billed"
-                        : "VIOLATION"});
+                    ok ? "ok, single-billed" : "VIOLATION"});
     }
     table.Print("E15c: composition-as-function — 2^depth leaf invocations, "
                 "still exactly single-billed");
   }
+  std::printf("\nacceptance (every chain and nesting run billed exactly its "
+              "function charges): %s\n",
+              billed_exactly ? "PASS" : "FAIL");
+  bench::JsonReport::Instance().Note("acceptance",
+                                     billed_exactly ? "PASS" : "FAIL");
 }
 
 void BM_OrchestrateChain(benchmark::State& state) {

@@ -52,7 +52,6 @@ obs::ScaleConfig MakeScaleConfig(double head_rate) {
   obs::ScaleConfig cfg;
   cfg.sampler.head_rate = head_rate;
   cfg.sampler.seed = 422;  // decision hash seed, decoupled from workloads
-  cfg.stream = true;
 
   obs::SloObjective latency;
   latency.name = "faas-latency";

@@ -273,106 +273,81 @@ uint64_t ConfigService::RetractScoped(const std::string& key,
 }
 
 void ConfigService::ApplyPending(Pending p) {
+  using Kind = Pending::Kind;
   const SimTime now = sim_->Now();
-  switch (p.kind) {
-    case Pending::Kind::kBase: {
-      Status s = store_.Apply(p.key, p.value, p.version, now);
-      if (s.ok()) {
-        h_.applied.Inc();
-        h_.version.SetMax(double(p.version));
-        // Base applies are visible to every scoped watcher whose target
-        // holds no override of this key.
-        const ConfigEntry* e = store_.Find(p.key);
-        ConfigUpdate update{e, e->value, p.version, now};
-        auto sit = scoped_watchers_.find(p.key);
-        if (sit != scoped_watchers_.end()) {
-          const auto& overridden = overrides_[p.key];
-          for (const ScopedWatch& w : sit->second) {
-            if (overridden.count(w.target) == 0) w.fn(update);
-          }
-        }
-        EmitSpan("push:" + p.key, p, "applied");
-      } else if (s.code() == StatusCode::kAborted) {
-        h_.stale_dropped.Inc();
-        EmitSpan("push:" + p.key, p, "stale-dropped");
-      } else {
-        h_.rejected.Inc();
-        EmitSpan("push:" + p.key, p,
-                 p.corrupted ? "rejected-corrupt" : "rejected");
-        if (p.corrupted && chaos_ != nullptr) {
-          chaos_->RecordRecovery("ctrl", chaos::FaultKind::kConfigCorrupt, 0,
-                                 "rejected corrupt push key=" + p.key);
-        }
-      }
-      break;
-    }
-    case Pending::Kind::kOverride: {
-      Status valid = store_.Validate(p.key, p.value);
-      if (!valid.ok()) {
-        h_.rejected.Inc();
-        EmitSpan("push-scoped:" + p.key, p,
-                 p.corrupted ? "rejected-corrupt" : "rejected");
-        if (p.corrupted && chaos_ != nullptr) {
-          chaos_->RecordRecovery("ctrl", chaos::FaultKind::kConfigCorrupt, 0,
-                                 "rejected corrupt push key=" + p.key);
-        }
-        break;
-      }
-      const ConfigEntry* e = store_.Find(p.key);
-      bool any_applied = false;
-      for (const std::string& target : p.targets) {
-        uint64_t& applied_version = scoped_version_[p.key][target];
-        if (p.version <= applied_version) {
-          h_.stale_dropped.Inc();
-          continue;
-        }
-        applied_version = p.version;
-        overrides_[p.key][target] = OverrideState{p.value, p.version};
-        any_applied = true;
-        ConfigUpdate update{e, p.value, p.version, now};
-        NotifyScoped(p.key, target, update);
-      }
-      if (any_applied) {
-        h_.applied.Inc();
-        h_.version.SetMax(double(p.version));
-        EmitSpan("push-scoped:" + p.key, p, "applied");
-      } else {
-        EmitSpan("push-scoped:" + p.key, p, "stale-dropped");
-      }
-      break;
-    }
-    case Pending::Kind::kRetract: {
-      const ConfigEntry* e = store_.Find(p.key);
-      if (e == nullptr) {
-        h_.rejected.Inc();
-        EmitSpan("retract:" + p.key, p, "rejected");
-        break;
-      }
-      bool any_applied = false;
-      for (const std::string& target : p.targets) {
-        uint64_t& applied_version = scoped_version_[p.key][target];
-        if (p.version <= applied_version) {
-          h_.stale_dropped.Inc();
-          continue;
-        }
-        applied_version = p.version;
-        auto oit = overrides_.find(p.key);
-        if (oit != overrides_.end()) oit->second.erase(target);
-        any_applied = true;
-        // The target falls back to the *current* base value.
-        ConfigUpdate update{e, e->value, p.version, now};
-        NotifyScoped(p.key, target, update);
-      }
-      if (any_applied) {
-        h_.applied.Inc();
-        h_.version.SetMax(double(p.version));
-        EmitSpan("retract:" + p.key, p, "applied");
-      } else {
-        EmitSpan("retract:" + p.key, p, "stale-dropped");
-      }
-      break;
-    }
+  const std::string span = (p.kind == Kind::kBase       ? "push:"
+                            : p.kind == Kind::kOverride ? "push-scoped:"
+                                                        : "retract:") +
+                           p.key;
+  // An unknown key, or a value the schema refuses (how an injected
+  // corruption is caught), reaches no watcher. A base push is validated by
+  // Apply, whose only other refusal is a stale version; a retract carries
+  // no value of its own, so only an unknown key refuses it.
+  Status s = Status::OK();
+  if (p.kind == Kind::kBase) {
+    s = store_.Apply(p.key, p.value, p.version, now);
+  } else if (p.kind == Kind::kOverride) {
+    s = store_.Validate(p.key, p.value);
+  } else if (!store_.Has(p.key)) {
+    s = Status::NotFound("unknown config key: " + p.key);
   }
+  if (s.code() == StatusCode::kAborted) {
+    h_.stale_dropped.Inc();
+    EmitSpan(span, p, "stale-dropped");
+    return;
+  }
+  if (!s.ok()) {
+    h_.rejected.Inc();
+    const bool corrupt = p.corrupted && p.kind != Kind::kRetract;
+    EmitSpan(span, p, corrupt ? "rejected-corrupt" : "rejected");
+    if (corrupt && chaos_ != nullptr) {
+      chaos_->RecordRecovery("ctrl", chaos::FaultKind::kConfigCorrupt, 0,
+                             "rejected corrupt push key=" + p.key);
+    }
+    return;
+  }
+  const ConfigEntry* e = store_.Find(p.key);
+  if (p.kind == Kind::kBase) {
+    h_.applied.Inc();
+    h_.version.SetMax(double(p.version));
+    // Base applies are visible to every scoped watcher whose target holds
+    // no override of this key.
+    ConfigUpdate update{e, e->value, p.version, now};
+    auto sit = scoped_watchers_.find(p.key);
+    if (sit != scoped_watchers_.end()) {
+      const auto& overridden = overrides_[p.key];
+      for (const ScopedWatch& w : sit->second) {
+        if (overridden.count(w.target) == 0) w.fn(update);
+      }
+    }
+    EmitSpan(span, p, "applied");
+    return;
+  }
+  // Overrides and retracts: one versioned apply per target.
+  bool any_applied = false;
+  for (const std::string& target : p.targets) {
+    uint64_t& applied_version = scoped_version_[p.key][target];
+    if (p.version <= applied_version) {
+      h_.stale_dropped.Inc();
+      continue;
+    }
+    applied_version = p.version;
+    any_applied = true;
+    if (p.kind == Kind::kOverride) {
+      overrides_[p.key][target] = p.value;
+    } else if (auto oit = overrides_.find(p.key); oit != overrides_.end()) {
+      oit->second.erase(target);
+    }
+    // A retracted target falls back to the *current* base value.
+    NotifyScoped(p.key, target,
+                 ConfigUpdate{e, p.kind == Kind::kOverride ? p.value : e->value,
+                              p.version, now});
+  }
+  if (any_applied) {
+    h_.applied.Inc();
+    h_.version.SetMax(double(p.version));
+  }
+  EmitSpan(span, p, any_applied ? "applied" : "stale-dropped");
 }
 
 void ConfigService::NotifyScoped(const std::string& key,
@@ -393,7 +368,7 @@ Result<ConfigValue> ConfigService::ValueFor(const std::string& key,
     auto oit = overrides_.find(key);
     if (oit != overrides_.end()) {
       auto tit = oit->second.find(target);
-      if (tit != oit->second.end()) return tit->second.value;
+      if (tit != oit->second.end()) return tit->second;
     }
   }
   return e->value;
@@ -412,7 +387,7 @@ std::vector<std::string> ConfigService::OverrideTargets(
   auto oit = overrides_.find(key);
   if (oit == overrides_.end()) return out;
   out.reserve(oit->second.size());
-  for (const auto& [target, state] : oit->second) out.push_back(target);
+  for (const auto& [target, value] : oit->second) out.push_back(target);
   return out;
 }
 

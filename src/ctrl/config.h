@@ -290,10 +290,6 @@ class ConfigService {
     std::vector<std::string> targets;
     bool corrupted = false;
   };
-  struct OverrideState {
-    ConfigValue value;
-    uint64_t version = 0;  ///< Publish version that set/cleared it last.
-  };
   struct ScopedWatch {
     std::string target;
     Watcher fn;
@@ -312,9 +308,9 @@ class ConfigService {
   ConfigStore store_;
   uint64_t publish_seq_ = 0;
 
-  /// overrides_[key][target]; last_scoped_version_[key][target] keeps the
-  /// monotonic guard for scoped applies and retracts.
-  std::map<std::string, std::map<std::string, OverrideState>> overrides_;
+  /// overrides_[key][target] holds the override value; scoped_version_
+  /// [key][target] is the monotonic guard for scoped applies and retracts.
+  std::map<std::string, std::map<std::string, ConfigValue>> overrides_;
   std::map<std::string, std::map<std::string, uint64_t>> scoped_version_;
   std::map<std::string, std::vector<ScopedWatch>> scoped_watchers_;
 

@@ -426,8 +426,8 @@ void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
                                     SimDuration startup_us) {
   const FunctionSpec& spec = functions_.at(inv->function);
   inv->unit_owner = container->owner;
-  const SimDuration queue_us = sim_->Now() - inv->attempt_start_us;
-  h_.queue_latency_us.Add(double(queue_us));
+  inv->queue_us = sim_->Now() - inv->attempt_start_us;
+  h_.queue_latency_us.Add(double(inv->queue_us));
   h_.startup_latency_us.Add(double(startup_us));
   if (cold) {
     h_.cold_starts.Inc();
@@ -534,6 +534,7 @@ void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
     const int failed_attempt = inv->attempt;
     ++inv->attempt;
     inv->attempt_start_us = sim_->Now();
+    inv->queue_us = 0;
     // Backoff (zero for immediate retries) plus the usual dispatch hop.
     const SimDuration delay =
         config_.retry.BackoffFor(failed_attempt, &rng_) + SampleDispatchDelay();
@@ -566,7 +567,7 @@ void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
   res.attempts = inv->attempt + 1;
   res.submit_us = inv->submit_us;
   res.end_us = sim_->Now();
-  res.queue_us = inv->attempt_start_us - inv->submit_us;
+  res.queue_us = inv->queue_us;
   res.startup_us = startup_us;
   res.exec_us = exec_us;
   res.cost = inv->cost_so_far;

@@ -307,6 +307,9 @@ class FaasPlatform {
     int attempt = 0;
     SimTime submit_us = 0;
     SimTime attempt_start_us = 0;  ///< When dispatch for this attempt began.
+    /// Dispatch + capacity wait of the attempt that last reached a
+    /// container (0 until one does; reset when a retry is scheduled).
+    SimDuration queue_us = 0;
     Money cost_so_far;
     bool chaos_killed = false;  ///< Some attempt died to fault injection.
     obs::TraceContext root_ctx;  ///< "invoke:<fn>" span (invalid: untraced).

@@ -5,9 +5,7 @@
 namespace taureau::obs {
 
 bool Observability::EnableScale(const ScaleConfig& config) {
-  if (config.stream && !tracer.SetStoreMode(Tracer::StoreMode::kStream)) {
-    return false;
-  }
+  if (!tracer.SetStoreMode(Tracer::StoreMode::kStream)) return false;
   flame_ = std::make_unique<FlameProfile>();
   slo_ = std::make_unique<SloEngine>();
   for (const SloObjective& o : config.objectives) slo_->AddObjective(o);
@@ -19,11 +17,7 @@ bool Observability::EnableScale(const ScaleConfig& config) {
 
 std::string Observability::ExportAll() const {
   std::string out = "== trace ==\n";
-  if (tracer.store_mode() == Tracer::StoreMode::kStream && pipeline_) {
-    out += pipeline_->ExportText();
-  } else {
-    out += tracer.ExportText();
-  }
+  out += pipeline_ ? pipeline_->ExportText() : tracer.ExportText();
   out += "== metrics ==\n" + registry.ExportText();
 
   out += "== critical-path ==\n";

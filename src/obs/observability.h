@@ -27,10 +27,6 @@ namespace taureau::obs {
 struct ScaleConfig {
   SamplerConfig sampler;
   std::vector<SloObjective> objectives;
-  /// Stream mode releases spans from the tracer as they close (memory
-  /// O(retained + in-flight)); retain mode keeps tracer storage too
-  /// (debugging / A-B comparisons).
-  bool stream = true;
 };
 
 struct Observability {
@@ -39,10 +35,11 @@ struct Observability {
   Tracer tracer;
   Registry registry;
 
-  /// Builds the sampling pipeline, flame profile and SLO engine, and wires
-  /// the pipeline in as the tracer's sink. Call before any spans are
-  /// emitted (stream mode cannot be entered afterwards). Returns false if
-  /// the store-mode switch was refused.
+  /// Builds the sampling pipeline, flame profile and SLO engine, switches
+  /// the tracer to stream mode (spans leave the tracer as they close, so
+  /// memory is O(retained + in-flight)) and wires the pipeline in as its
+  /// sink. Call before any spans are emitted (stream mode cannot be entered
+  /// afterwards). Returns false if the store-mode switch was refused.
   bool EnableScale(const ScaleConfig& config);
 
   /// Non-null only after EnableScale().
@@ -62,8 +59,8 @@ struct Observability {
   /// sections when the scale layer is enabled) in one deterministic blob;
   /// the determinism checks byte-compare this across same-seed runs. The
   /// critical-path section aggregates per root-span name and is computed
-  /// from the tracer in retain mode and from the flame aggregates in
-  /// stream mode — same format, same bytes for the same workload.
+  /// from the tracer without the scale layer and from the flame aggregates
+  /// with it — same format, same bytes for the same workload.
   std::string ExportAll() const;
 
  private:

@@ -3,7 +3,9 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "chaos/idempotency.h"
 #include "chaos/injector.h"
@@ -79,7 +81,9 @@ class Orchestrator {
                   ExecutionCallback cb);
 
   /// Convenience: run and drive the simulation until completion.
-  Result<ExecutionResult> RunSync(const Composition& comp, std::string input);
+  Result<ExecutionResult> RunSync(const Composition& comp, std::string input) {
+    return RunKeyedSync("", comp, std::move(input));
+  }
 
   bool HasComposition(const std::string& name) const {
     return compositions_.count(name) > 0;
@@ -111,21 +115,47 @@ class Orchestrator {
   const OrchestratorStats& stats() const { return stats_; }
 
  private:
-  using NodeDone = std::function<void(Status, std::string output, Money cost,
-                                      uint64_t invocations)>;
+  using NodePtr = std::shared_ptr<const Composition::Node>;
+  using NodeDone = std::function<void(Status, std::string output)>;
 
-  /// `key` is the idempotency scope for this subtree ("" = keying off);
-  /// `ctx` is the enclosing span for emitted step spans; `deadline` is the
+  /// Where a subtree executes. `key` is its idempotency scope ("" = keying
+  /// off); `ctx` the enclosing span for emitted step spans; `deadline` the
   /// absolute budget in force — children only ever receive it unchanged or
-  /// tightened (kDeadline nodes), never loosened.
-  void Exec(std::shared_ptr<const Composition::Node> node, std::string input,
-            std::string key, obs::TraceContext ctx, guard::Deadline deadline,
-            NodeDone done);
+  /// tightened (kDeadline nodes), never loosened; `run` the result whose
+  /// cost/function_invocations are the run's one ledger, which only the
+  /// Task leaf adds to (cache replays and cancelled subtrees add nothing).
+  struct Scope {
+    std::string key;
+    obs::TraceContext ctx;
+    guard::Deadline deadline;
+    std::shared_ptr<ExecutionResult> run;
+
+    /// Child `i` of a `tag` node: the key gains "/<tag><i>" when keyed.
+    Scope Child(char tag, size_t i) const;
+  };
+
+  struct SeqState;
+  struct FanState;
+  struct RetryState;
+
+  void Exec(NodePtr node, std::string input, Scope scope, NodeDone done);
+  /// The only place a run invokes a platform function.
+  void RunTask(const Composition::Node& node, std::string input,
+               const Scope& scope, NodeDone done);
+  /// Parallel (each child on the input) and Map (the item on each piece):
+  /// runs every branch concurrently and joins in index order once all are
+  /// done, reporting the first error in completion order.
+  void FanOut(const NodePtr& node, std::vector<std::string> inputs,
+              const Scope& scope, NodeDone done);
+  /// Sequence continuation: runs the next child on `payload`, or finishes.
+  void SeqNext(std::shared_ptr<SeqState> st, Status s, std::string payload);
+  /// Retry continuation: one attempt, then RetryDecide on its outcome.
+  void RetryAttempt(std::shared_ptr<RetryState> st);
+  void RetryDecide(std::shared_ptr<RetryState> st, Status s, std::string out);
 
   /// Tenant of the first task leaf's registered FunctionSpec (depth-first;
   /// follows Named references), or "" when none is tagged.
-  std::string FirstTaskTenant(
-      const std::shared_ptr<const Composition::Node>& node) const;
+  std::string FirstTaskTenant(const NodePtr& node) const;
 
   sim::Simulation* sim_;
   faas::FaasPlatform* platform_;

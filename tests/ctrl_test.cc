@@ -219,6 +219,39 @@ TEST(ConfigService, CorruptPushRejectedByTypedStore) {
   EXPECT_EQ(service.store().Find("k")->value.as_int(), 10);
 }
 
+TEST(ConfigService, CorruptScopedPushAndUnknownRetractRejected) {
+  sim::Simulation sim;
+  chaos::InjectorRegistry injector(&sim);
+  ConfigService service(&sim);
+  service.AttachChaos(&injector);
+  ASSERT_TRUE(service.EnsureDefined(Spec("k", ConfigValue::Int(1))).ok());
+  int notified = 0;
+  service.SubscribeScoped("k", "m1",
+                          [&notified](const ConfigUpdate&) { ++notified; });
+  // A corrupted scoped push fails validation like a base push: no
+  // override, no notification, one recovery for the injected fault.
+  injector.Inject({.kind = chaos::FaultKind::kConfigCorrupt});
+  service.PushScoped("k", {"m1"}, ConfigValue::Int(100));
+  sim.Run();
+  EXPECT_FALSE(service.HasOverride("k", "m1"));
+  EXPECT_EQ(notified, 0);
+  EXPECT_EQ(service.stats().rejected, 1u);
+  EXPECT_EQ(injector.log().CountKind(chaos::FaultKind::kConfigCorrupt,
+                                     /*recovery=*/true),
+            1u);
+  // A retract of an unknown key is rejected and recovers nothing.
+  service.RetractScoped("ghost", {"m1"});
+  sim.Run();
+  EXPECT_EQ(service.stats().rejected, 2u);
+  EXPECT_EQ(service.stats().applied, 0u);
+  // The rejected push did not consume m1's version guard.
+  service.PushScoped("k", {"m1"}, ConfigValue::Int(7));
+  sim.Run();
+  EXPECT_EQ(service.ValueFor("k", "m1").value().as_int(), 7);
+  EXPECT_EQ(notified, 1);
+  EXPECT_EQ(service.stats().applied, 1u);
+}
+
 TEST(ConfigService, ScopedOverridesLayerOverBase) {
   sim::Simulation sim;
   ConfigService service(&sim);

@@ -267,6 +267,40 @@ TEST(FaasPlatformTest, QueueDrainsWhenCapacityFrees) {
   EXPECT_EQ(f.platform->metrics().warm_starts, 4u);
 }
 
+TEST(FaasPlatformTest, SingleAttemptLatencyPartsSumToEndToEnd) {
+  // Two containers for eight requests: the first two start cold after the
+  // dispatch hop, the rest also wait for capacity. For every invocation
+  // that ran exactly one attempt, queue + startup + exec is the whole
+  // end-to-end latency.
+  FaasConfig cfg;
+  cfg.max_concurrency = 2;
+  cfg.queue_on_throttle = true;
+  Fixture f(cfg);
+  ASSERT_TRUE(f.platform->RegisterFunction(f.SimpleSpec("fn")).ok());
+  std::vector<InvocationResult> results;
+  auto record = [&](const InvocationResult& r) { results.push_back(r); };
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(f.platform->Invoke("fn", "", record).ok());
+  }
+  // Later, on an idle warm pool: a dispatch hop and no capacity wait.
+  f.sim.ScheduleAt(10 * kSecond, [&] {
+    ASSERT_TRUE(f.platform->Invoke("fn", "", record).ok());
+  });
+  f.sim.Run();
+  ASSERT_EQ(results.size(), 9u);
+  SimDuration max_queue = 0;
+  for (const InvocationResult& r : results) {
+    ASSERT_TRUE(r.status.ok());
+    ASSERT_EQ(r.attempts, 1);
+    EXPECT_GT(r.queue_us, 0);
+    EXPECT_EQ(r.queue_us + r.startup_us + r.exec_us, r.EndToEnd())
+        << "invocation " << r.id;
+    max_queue = std::max(max_queue, r.queue_us);
+  }
+  // The last queued request waited behind three rounds of execution.
+  EXPECT_GT(max_queue, 3 * 50 * kMillisecond);
+}
+
 // Capacity freed by something other than a finishing attempt must still
 // admit queued work. Two idle "a" containers fill the only machine, so a
 // "b" invoked at 500 ms queues until a slot frees: at the keep-alive
