@@ -1,5 +1,6 @@
 #include "orchestration/orchestrator.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "common/hash.h"
@@ -53,8 +54,8 @@ void Orchestrator::RunKeyed(const std::string& run_key, const Composition& comp,
          run->end_us = sim_->Now();
          if (obs_ != nullptr && root.valid()) {
            const bool ok = run->status.ok();
-           obs_->tracer.SetAttr(
-               root, "status", std::string(StatusCodeName(run->status.code())));
+           obs_->tracer.SetAttr(root, "status",
+                                StatusCodeName(run->status.code()));
            obs_->tracer.SetAttr(root, "invocations",
                                 std::to_string(run->function_invocations));
            // Outcome/severity at root close so tail sampling keeps every
@@ -252,7 +253,7 @@ void Orchestrator::RunTask(const Composition::Node& node, std::string input,
   // Closes the step span with the outcome; safe to call when untraced.
   auto end_step = [this, step](const Status& s) {
     if (obs_ == nullptr || !step.valid()) return;
-    obs_->tracer.SetAttr(step, "status", std::string(StatusCodeName(s.code())));
+    obs_->tracer.SetAttr(step, "status", StatusCodeName(s.code()));
     obs_->tracer.EndSpan(step);
   };
   std::string step_key;
@@ -388,9 +389,13 @@ void Orchestrator::RetryDecide(std::shared_ptr<RetryState> st, Status s,
     st->done(std::move(s), std::move(out));
     return;
   }
-  // Exponential backoff (zero for plain Retry) before the next attempt.
+  // Exponential backoff (zero for plain Retry) before the next attempt,
+  // cut at the deadline: waiting past it could only end in the
+  // DeadlineExceeded the next attempt then reports on time.
   const int failed = st->attempt++;
-  const SimDuration backoff = policy.BackoffFor(failed, &rng_);
+  const SimDuration backoff =
+      std::min(policy.BackoffFor(failed, &rng_),
+               st->scope.deadline.Remaining(sim_->Now()));
   if (backoff <= 0) {
     RetryAttempt(std::move(st));
     return;

@@ -402,6 +402,29 @@ TEST(OrchestratorTest, DeadlineCutSequenceBillsOnlyWhatRan) {
   EXPECT_EQ(f.platform.ledger().record_count(), res->function_invocations);
 }
 
+TEST(OrchestratorTest, RetryBackoffEndsAtTheDeadline) {
+  // Every attempt fails within milliseconds while the exponential backoff
+  // (50 ms doubling) soon outgrows what is left of the 2 s budget. The
+  // backoff is cut at the deadline, so the run reports DeadlineExceeded at
+  // the deadline instead of after waiting the full backoff out.
+  Fixture f;
+  RegisterFailing(f, "down", StatusCode::kUnavailable);
+  const SimDuration budget = 2 * kSecond;
+  const auto comp = Composition::WithDeadline(
+      Composition::Retry(
+          Composition::Task("down"),
+          chaos::RetryPolicy::ExponentialJitter(50, 50 * kMillisecond, 0.3)),
+      budget);
+  auto res = f.orch.RunSync(comp, "");
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res->status.IsDeadlineExceeded()) << res->status.ToString();
+  // One dispatch hop (median 2 ms) of slack past the deadline.
+  const SimDuration dispatch_hop = 10 * kMillisecond;
+  EXPECT_LE(res->end_us, res->start_us + budget + dispatch_hop);
+  EXPECT_GE(res->function_invocations, 2u);
+  EXPECT_EQ(res->cost, f.platform.ledger().Total());
+}
+
 TEST(OrchestratorTest, KeyedMapOfRetryDedupesWithoutExtraBilling) {
   // Map over three items, each Retry(Sequence(a, flaky)); item "y" fails
   // its first orchestration attempt, so its re-run replays "a" from the
