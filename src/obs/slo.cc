@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <iterator>
 
 namespace taureau::obs {
 
@@ -133,6 +132,7 @@ void SloEngine::Score(State* st, Track* tr, const std::string& tenant,
            tr->window.front().at_us <= at_us - st->max_window_us) {
       tr->aged_bad = tr->window.front().bad_through;
       tr->window.pop_front();
+      ++tr->aged;
     }
   }
   Evaluate(st, tr, tenant, at_us);
@@ -149,35 +149,56 @@ SimDuration SloEngine::SlowBudgetFor(const std::string& module) const {
   return best;
 }
 
-double SloEngine::WindowBurn(const Track& tr, double target,
-                             SimDuration window_us, SimTime now_us) const {
-  // The window is sorted by time (Record clamps regressions), so the
-  // events in (now - W, now] — plus any newer than `now` when the query
-  // looks into the past — are exactly the suffix after the last event at
-  // or before now - W. Its bad count is a difference of running counts.
-  const auto first = std::upper_bound(
-      tr.window.begin(), tr.window.end(), now_us - window_us,
-      [](SimTime cutoff, const Event& e) { return cutoff < e.at_us; });
-  const uint64_t total = static_cast<uint64_t>(tr.window.end() - first);
+double SloEngine::BurnFrom(const Track& tr, size_t first, double target) {
+  const uint64_t total = tr.window.size() - first;
   if (total == 0) return 0.0;
   const uint64_t bad_before =
-      first == tr.window.begin() ? tr.aged_bad : std::prev(first)->bad_through;
+      first == 0 ? tr.aged_bad : tr.window[first - 1].bad_through;
   const uint64_t bad = tr.window.back().bad_through - bad_before;
   const double bad_fraction = double(bad) / double(total);
   const double budget = 1.0 - target;
   return budget > 0 ? bad_fraction / budget : (bad > 0 ? 1e18 : 0.0);
 }
 
+double SloEngine::WindowBurn(const Track& tr, double target,
+                             SimDuration window_us, SimTime now_us) {
+  // The window is sorted by time (Record clamps regressions), so the
+  // events in (now - W, now] — plus any newer than `now` when the query
+  // looks into the past — are exactly the suffix after the last event at
+  // or before now - W.
+  const auto first = std::upper_bound(
+      tr.window.begin(), tr.window.end(), now_us - window_us,
+      [](SimTime cutoff, const Event& e) { return cutoff < e.at_us; });
+  return BurnFrom(tr, size_t(first - tr.window.begin()), target);
+}
+
+double SloEngine::CursorBurn(Track* tr, uint64_t* cursor, double target,
+                             SimDuration window_us, SimTime now_us) {
+  // `now` is the newest event's time and never decreases, so the events
+  // at or before now - W only grow: skip the newly aged ones. Events aged
+  // off the front are older than any window, hence behind the cursor too.
+  size_t first = size_t(std::max(*cursor, tr->aged) - tr->aged);
+  while (first < tr->window.size() &&
+         tr->window[first].at_us <= now_us - window_us) {
+    ++first;
+  }
+  *cursor = tr->aged + first;
+  return BurnFrom(*tr, first, target);
+}
+
 void SloEngine::Evaluate(State* st, Track* tr, const std::string& tenant,
                          SimTime now_us) {
   const std::vector<BurnRatePolicy>& policies = st->spec.policies;
   tr->firing.resize(policies.size(), 0);
+  tr->cursors.resize(2 * policies.size(), 0);
   for (size_t i = 0; i < policies.size(); ++i) {
     const BurnRatePolicy& p = policies[i];
-    const double burn_long =
-        WindowBurn(*tr, st->spec.target, p.long_window_us, now_us);
-    const double burn_short =
-        WindowBurn(*tr, st->spec.target, p.short_window_us, now_us);
+    const double burn_long = CursorBurn(tr, &tr->cursors[2 * i],
+                                        st->spec.target, p.long_window_us,
+                                        now_us);
+    const double burn_short = CursorBurn(tr, &tr->cursors[2 * i + 1],
+                                         st->spec.target, p.short_window_us,
+                                         now_us);
     const bool fire =
         burn_long >= p.burn_threshold && burn_short >= p.burn_threshold;
     if (fire == bool(tr->firing[i])) continue;

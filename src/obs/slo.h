@@ -31,11 +31,15 @@
 //
 // Cost: each track keeps the events inside its objective's longest window
 // in timestamp order, each tagged with the track's running count of bad
-// events pushed so far. A window query is then one binary search plus a
-// subtraction, so Record() costs objectives x tracks (aggregate, plus the
-// tenant's on per-tenant objectives) x policies x 2 windows x O(log
-// window events), and BurnRate()/TenantBurnRate() cost O(log window
-// events). Memory is 16 B per event inside the longest window, per track.
+// events pushed so far, so the bad count of any suffix is one subtraction.
+// Record() evaluates windows that end at the newest event, and that end
+// only moves forward, so each (policy, long/short) window keeps a cursor
+// on its first event that only moves forward too: Record() is amortized
+// O(1) per window, i.e. objectives x tracks (aggregate, plus the tenant's
+// on per-tenant objectives) x policies x 2 windows in total. The past-time
+// queries BurnRate()/TenantBurnRate() find their suffix by binary search,
+// O(log window events). Memory is 16 B per event inside the longest
+// window, plus 8 B per window cursor, per track.
 #pragma once
 
 #include <cstdint>
@@ -190,6 +194,12 @@ class SloEngine {
     std::deque<Event> window;  ///< Events within the longest window.
     /// `bad_through` of the last event aged off the window's front.
     uint64_t aged_bad = 0;
+    /// Events aged off the window's front so far: window[i] is event
+    /// number aged + i of the track.
+    uint64_t aged = 0;
+    /// By policy position x {long, short}: the event number of the first
+    /// event inside that window as of the last Evaluate. Sized lazily.
+    std::vector<uint64_t> cursors;
     std::vector<uint8_t> firing;     ///< By policy position; sized lazily.
     uint64_t attribution_bound = 0;  ///< See TenantAttributionBound.
   };
@@ -207,8 +217,17 @@ class SloEngine {
 
   using TenantIter = std::map<std::string, Track>::iterator;
 
-  double WindowBurn(const Track& tr, double target, SimDuration window_us,
-                    SimTime now_us) const;
+  /// Burn rate of the window suffix starting at window index `first`:
+  /// bad events (a running-count difference) over events, over the budget.
+  static double BurnFrom(const Track& tr, size_t first, double target);
+  /// Past-time query: the suffix of events newer than now - W, by binary
+  /// search.
+  static double WindowBurn(const Track& tr, double target,
+                           SimDuration window_us, SimTime now_us);
+  /// Moves `*cursor` past the events at or before now - W and returns the
+  /// burn of the window it then starts (Evaluate's forward-only path).
+  static double CursorBurn(Track* tr, uint64_t* cursor, double target,
+                           SimDuration window_us, SimTime now_us);
   /// Pushes the event into `tr`, ages the window, evaluates policies.
   void Score(State* st, Track* tr, const std::string& tenant, SimTime at_us,
              bool good);

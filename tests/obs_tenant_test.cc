@@ -456,6 +456,8 @@ class ReferenceSlo {
   uint64_t boundary_hits = 0;  ///< Scans stopped by an event exactly W old.
   uint64_t rematerialized = 0;  ///< Demoted tenants materialized again.
 
+  const std::vector<AlertEvent>& alerts() const { return alerts_; }
+
   void AddObjective(SloObjective objective) {
     State st;
     for (const BurnRatePolicy& p : objective.policies) {
@@ -705,34 +707,63 @@ class ReferenceSlo {
   uint64_t clamped_ = 0;
 };
 
+/// Asserts the engine's alert log matches the reference's from `*checked`
+/// on, then advances `*checked` to the end.
+void ExpectSameAlertsSince(const std::vector<AlertEvent>& got,
+                           const std::vector<AlertEvent>& want,
+                           size_t* checked, int i) {
+  ASSERT_EQ(got.size(), want.size()) << "alert count after record " << i;
+  for (; *checked < got.size(); ++*checked) {
+    const AlertEvent& a = got[*checked];
+    const AlertEvent& b = want[*checked];
+    ASSERT_EQ(a.at_us, b.at_us) << "alert " << *checked << " i=" << i;
+    ASSERT_EQ(a.objective, b.objective) << "alert " << *checked;
+    ASSERT_EQ(a.policy, b.policy) << "alert " << *checked;
+    ASSERT_EQ(a.tenant, b.tenant) << "alert " << *checked;
+    ASSERT_EQ(a.firing, b.firing) << "alert " << *checked;
+    ASSERT_EQ(a.burn_long, b.burn_long) << "alert " << *checked;
+    ASSERT_EQ(a.burn_short, b.burn_short) << "alert " << *checked;
+  }
+}
+
 // Seeded random streams through SloEngine and the rescanning reference:
-// every burn rate (current and past `now`), every firing bit and the full
-// export must agree exactly. Streams mix bad bursts (alerts fire and
-// clear), equal timestamps, events exactly W old (times and windows share
-// a 5 us grid), clamped clock regressions, tenant demotion and
-// re-materialization through a 3-slot guard, and a mid-stream objective
-// re-registration.
+// after every Record, the alert log, every firing bit, every burn rate
+// (current and past `now`) must agree exactly, and the full export every
+// 500 events. Streams mix bad bursts (alerts fire and clear), equal
+// timestamps, events exactly W old (times and windows share a 5 us grid),
+// clamped clock regressions, zero-length short windows (a correct engine
+// never fires them; one that counts the event at `now` does), tenant
+// demotion and re-materialization through a 3-slot guard, and mid-stream
+// objective re-registrations that change the policy set and the longest
+// window.
 TEST(SloWindowDifferentialTest, MatchesRescanReference) {
   const std::vector<std::string> pool = {"t0", "t1", "t2", "t3", "t4", "t5",
                                          "t6", "t7", "t8", "t9", "",
                                          kOtherTenant};
-  auto per_tenant_latency = [] {
+  auto per_tenant_latency = [](bool extra_policy) {
     SloObjective o;
     o.name = "latency";
     o.module = "app";
     o.target = 0.95;
     o.latency_budget_us = 100;
     // Policy names deliberately out of alphabetical order.
-    o.policies = {{"ticket", 1000, 100, 2.0}, {"page", 500, 50, 8.0}};
+    o.policies = {{"ticket", 1000, 100, 2.0},
+                  {"page", 500, 50, 8.0},
+                  {"instant", 300, 0, 1.0}};
+    if (extra_policy) o.policies.push_back({"fast", 200, 20, 3.0});
     o.per_tenant = true;
     o.max_tenant_series = 3;
     return o;
   };
-  SloObjective availability;
-  availability.name = "avail";
-  availability.module = "app";
-  availability.target = 0.9;
-  availability.policies = {{"page", 400, 40, 4.0}};
+  auto availability = [](SimDuration long_window_us) {
+    SloObjective o;
+    o.name = "avail";
+    o.module = "app";
+    o.target = 0.9;
+    o.policies = {{"page", long_window_us, 40, 4.0},
+                  {"instant", 200, 0, 2.0}};
+    return o;
+  };
   SloObjective unwindowed;  // no policies: no window kept at all
   unwindowed.name = "count-only";
   unwindowed.module = "app";
@@ -745,16 +776,17 @@ TEST(SloWindowDifferentialTest, MatchesRescanReference) {
     SloEngine slo;
     ReferenceSlo ref;
     slo.AllowClockRegression(true);
-    slo.AddObjective(per_tenant_latency());
-    slo.AddObjective(availability);
+    slo.AddObjective(per_tenant_latency(false));
+    slo.AddObjective(availability(400));
     slo.AddObjective(unwindowed);
-    ref.AddObjective(per_tenant_latency());
-    ref.AddObjective(availability);
+    ref.AddObjective(per_tenant_latency(false));
+    ref.AddObjective(availability(400));
     ref.AddObjective(unwindowed);
 
     Rng rng(seed);
     SimTime t = 0;
     bool burst = false;
+    size_t alerts_checked = 0;
     for (int i = 0; i < 4000; ++i) {
       if (rng.NextBool(0.01)) burst = !burst;
       SimTime at = t;
@@ -774,10 +806,16 @@ TEST(SloWindowDifferentialTest, MatchesRescanReference) {
           SimDuration(rng.NextBounded(burst ? 300 : 110));
       slo.Record("app", tenant, at, latency, ok);
       ref.Record("app", tenant, at, latency, ok);
-      if (i == 2500) {  // live re-registration replaces the state
-        slo.AddObjective(per_tenant_latency());
-        ref.AddObjective(per_tenant_latency());
+      if (i == 1500) {  // live re-registration: a shorter longest window
+        slo.AddObjective(availability(150));
+        ref.AddObjective(availability(150));
       }
+      if (i == 2500) {  // live re-registration: one more policy
+        slo.AddObjective(per_tenant_latency(true));
+        ref.AddObjective(per_tenant_latency(true));
+      }
+      ExpectSameAlertsSince(slo.alerts(), ref.alerts(), &alerts_checked, i);
+      if (HasFatalFailure()) return;
 
       const SimTime past = t - SimTime(rng.NextBounded(300));
       for (const char* obj : {"latency", "avail", "count-only"}) {
@@ -787,7 +825,8 @@ TEST(SloWindowDifferentialTest, MatchesRescanReference) {
                 << obj << " w=" << w << " now=" << now << " i=" << i;
           }
         }
-        for (const char* policy : {"page", "ticket", "none"}) {
+        for (const char* policy :
+             {"page", "ticket", "instant", "fast", "none"}) {
           ASSERT_EQ(slo.IsFiring(obj, policy), ref.IsFiring(obj, policy))
               << obj << "/" << policy << " i=" << i;
         }
@@ -800,7 +839,7 @@ TEST(SloWindowDifferentialTest, MatchesRescanReference) {
                 << tn << " w=" << w << " now=" << now << " i=" << i;
           }
         }
-        for (const char* policy : {"page", "ticket"}) {
+        for (const char* policy : {"page", "ticket", "instant", "fast"}) {
           ASSERT_EQ(slo.IsTenantFiring("latency", tn, policy),
                     ref.IsTenantFiring("latency", tn, policy))
               << tn << "/" << policy << " i=" << i;
@@ -815,9 +854,15 @@ TEST(SloWindowDifferentialTest, MatchesRescanReference) {
     // The stream reached every case it is meant to cover.
     size_t fired = 0;
     size_t cleared = 0;
-    for (const AlertEvent& a : slo.alerts()) ++(a.firing ? fired : cleared);
+    size_t fast_fired = 0;
+    for (const AlertEvent& a : slo.alerts()) {
+      ++(a.firing ? fired : cleared);
+      EXPECT_FALSE(a.firing && a.policy == "instant") << a.at_us;
+      if (a.firing && a.policy == "fast") ++fast_fired;
+    }
     EXPECT_GT(fired, 0u);
     EXPECT_GT(cleared, 0u);
+    EXPECT_GT(fast_fired, 0u);
     EXPECT_GT(slo.clamped_events(), 0u);
     EXPECT_GT(slo.TenantDemotions("latency"), 0u);
     EXPECT_GT(ref.rematerialized, 0u);
