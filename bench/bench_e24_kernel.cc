@@ -13,9 +13,10 @@
 //         counting operator new. Acceptance: 0 for the new kernel.
 //   E24c  telemetry fast path — metric record and span start/end cost,
 //         map-lookup vs pre-resolved handle, interned streaming spans.
-//         Acceptance: 0 allocs per streamed span, and < 0.01 allocs per
+//         Acceptance: 0 allocs per streamed span, < 0.01 allocs per
 //         trace through the sampling pipeline + flame fold (amortized
-//         ledger growth only).
+//         ledger growth only), and <= 3.01 allocs per attributed
+//         fleet-shape trace (one per attributed span).
 //   E24d  parallel sweep — the RunSweep driver over per-run isolated
 //         Simulation/Registry/Tracer worlds. Acceptance: merged results
 //         byte-identical at 1 thread and at N.
@@ -257,6 +258,10 @@ struct TelemetryResult {
   // head rate 0 (every trace folded, then dropped).
   double ns_pipeline_trace = 0;
   double pipeline_allocs_per_trace = 0;
+  // The fleet's attributed span shape through the same pipeline: a root
+  // with 6 attributes, a queue span with 2 and an exec span with 4.
+  double ns_attr_trace = 0;
+  double attr_allocs_per_trace = 0;
 };
 
 TelemetryResult MeasureTelemetry(long ops) {
@@ -329,6 +334,41 @@ TelemetryResult MeasureTelemetry(long ops) {
       double(AllocCount() - pipeline_before) / double(traces);
   r.ns_pipeline_trace =
       1e9 * std::chrono::duration<double>(p1 - p0).count() / double(traces);
+
+  // Attributes set the way FaasPlatform sets them: the tenant when the
+  // root opens, the queue span in one EmitSpan, the exec span (whose
+  // attribute list is conditional) attribute by attribute, and the root's
+  // outcome attributes at completion.
+  auto emit_attr_trace = [&] {
+    const obs::TraceContext root =
+        traced.StartSpanAt("invoke:serve", "faas", {}, t);
+    traced.SetAttr(root, obs::kTenantAttr, "tenant-03");
+    traced.EmitSpan("queue", "faas", root, t, t + 20,
+                    {{obs::kCategoryAttr, "queue"}, {"attempt", "0"}});
+    const obs::TraceContext exec =
+        traced.StartSpanAt("exec", "faas", root, t + 20);
+    traced.SetAttr(exec, obs::kCategoryAttr, "exec");
+    traced.SetAttr(exec, "attempt", "0");
+    traced.SetAttr(exec, "status", "OK");
+    traced.SetAttr(exec, "owner", "tenant-03");
+    traced.EndSpanAt(exec, t + 90);
+    traced.SetAttr(root, "cold", "0");
+    traced.SetAttr(root, "attempts", "1");
+    traced.SetAttr(root, "status", "OK");
+    traced.SetAttr(root, obs::kOutcomeAttr, obs::kOutcomeOk);
+    traced.SetAttr(root, obs::kSeverityAttr, "info");
+    traced.EndSpanAt(root, t + 100);
+    t += 100;
+  };
+  for (int i = 0; i < 1024; ++i) emit_attr_trace();
+  const uint64_t attr_before = AllocCount();
+  const auto a0 = std::chrono::steady_clock::now();
+  for (long i = 0; i < traces; ++i) emit_attr_trace();
+  const auto a1 = std::chrono::steady_clock::now();
+  r.attr_allocs_per_trace =
+      double(AllocCount() - attr_before) / double(traces);
+  r.ns_attr_trace =
+      1e9 * std::chrono::duration<double>(a1 - a0).count() / double(traces);
   return r;
 }
 
@@ -447,9 +487,13 @@ void RunExperiment() {
                 "(per trace)",
                 bench::Fmt("%.1f", tel.ns_pipeline_trace),
                 bench::Fmt("%.4f", tel.pipeline_allocs_per_trace)});
+  telem.AddRow({"3-span trace, 12 attrs -> same pipeline, head 0 (per trace)",
+                bench::Fmt("%.0f", tel.ns_attr_trace),
+                bench::Fmt("%.4f", tel.attr_allocs_per_trace)});
   telem.Print("E24c: telemetry record-path cost");
   const bool span_zero_alloc = tel.span_allocs_per_op == 0;
   const bool pipeline_low_alloc = tel.pipeline_allocs_per_trace < 0.01;
+  const bool attr_one_alloc_per_span = tel.attr_allocs_per_trace <= 3.01;
   bench::JsonReport::Instance().Note(
       "handle_vs_lookup",
       bench::Fmt("%.1fx", tel.ns_handle_inc > 0
@@ -506,8 +550,8 @@ void RunExperiment() {
   const bool rerun_same = again.digest == serial[0].digest;
 
   const bool pass = speedup >= 5.0 && same_checksum && zero_alloc &&
-                    span_zero_alloc && pipeline_low_alloc && sweep_same &&
-                    rerun_same;
+                    span_zero_alloc && pipeline_low_alloc &&
+                    attr_one_alloc_per_span && sweep_same && rerun_same;
   bench::JsonReport::Instance().Note(
       "acceptance",
       std::string(pass ? "PASS" : "FAIL") +
@@ -517,6 +561,8 @@ void RunExperiment() {
           bench::Fmt(" span_allocs_per_op=%.3f(=0)", tel.span_allocs_per_op) +
           bench::Fmt(" pipeline_allocs_per_trace=%.4f(<0.01)",
                      tel.pipeline_allocs_per_trace) +
+          bench::Fmt(" attr_allocs_per_trace=%.4f(<=3.01)",
+                     tel.attr_allocs_per_trace) +
           std::string(same_checksum ? " checksum=same" : " checksum=DIFF") +
           std::string(sweep_same ? " sweep=deterministic"
                                  : " sweep=DIVERGED") +
@@ -525,9 +571,11 @@ void RunExperiment() {
                                      sweep_same && rerun_same ? "yes"
                                                               : "BROKEN");
   std::printf("\nE24 acceptance: %s (speedup %.2fx, %.3f allocs/event, "
-              "%.3f allocs/span, %.4f allocs/pipeline trace, sweep %s)\n",
+              "%.3f allocs/span, %.4f allocs/pipeline trace, %.4f "
+              "allocs/attributed trace, sweep %s)\n",
               pass ? "PASS" : "FAIL", speedup, e24.steady_allocs_per_event,
               tel.span_allocs_per_op, tel.pipeline_allocs_per_trace,
+              tel.attr_allocs_per_trace,
               sweep_same ? "deterministic" : "DIVERGED");
 }
 

@@ -437,7 +437,7 @@ void ConfigService::EmitSpan(const std::string& name, const Pending& p,
   obs_->tracer.EmitSpan(
       name, "ctrl", obs::TraceContext{}, now, now,
       {{obs::kCategoryAttr, "ctrl"},
-       {"outcome", std::string(outcome)},
+       {"outcome", outcome},
        {"version", std::to_string(p.version)},
        {"value", p.value.ToString()}});
 }

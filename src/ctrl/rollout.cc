@@ -203,7 +203,7 @@ void RolloutController::Record(RolloutEvent::Kind kind,
     obs_->tracer.EmitSpan(
         "rollout:" + key_, "ctrl", obs::TraceContext{}, ev.at_us, ev.at_us,
         {{obs::kCategoryAttr, "ctrl"},
-         {"decision", std::string(EventKindName(kind))},
+         {"decision", EventKindName(kind)},
          {"stage", std::to_string(ev.stage)},
          {"covered", std::to_string(ev.covered)}});
   }

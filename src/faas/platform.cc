@@ -133,18 +133,19 @@ void FaasPlatform::EmitAttemptSpans(const Invocation& inv,
                           exec_start,
                           {{obs::kCategoryAttr, "cold"}, {"attempt", attempt}});
   }
-  std::vector<std::pair<std::string, std::string>> exec_attrs = {
-      {obs::kCategoryAttr, "exec"},
-      {"attempt", attempt},
-      {"status", std::string(StatusCodeName(attempt_status.code()))}};
+  obs::Tracer& tracer = obs_->tracer;
+  const obs::TraceContext exec =
+      tracer.StartSpanAt("exec", "faas", inv.root_ctx, exec_start);
+  tracer.SetAttr(exec, obs::kCategoryAttr, "exec");
+  tracer.SetAttr(exec, "attempt", attempt);
+  tracer.SetAttr(exec, "status", StatusCodeName(attempt_status.code()));
   if (!inv.unit_owner.empty()) {
     // ExecutionUnit::owner of the hosting container — the tenant tag the
     // scheduler actually placed under (flame profiles group by it).
-    exec_attrs.emplace_back("owner", inv.unit_owner);
+    tracer.SetAttr(exec, "owner", inv.unit_owner);
   }
-  if (killed) exec_attrs.emplace_back("killed", "1");
-  obs_->tracer.EmitSpan("exec", "faas", inv.root_ctx, exec_start,
-                        attempt_end_us, std::move(exec_attrs));
+  if (killed) tracer.SetAttr(exec, "killed", "1");
+  tracer.EndSpanAt(exec, attempt_end_us);
 }
 
 Status FaasPlatform::RegisterFunction(FunctionSpec spec) {
@@ -154,14 +155,18 @@ Status FaasPlatform::RegisterFunction(FunctionSpec spec) {
   if (spec.timeout_us <= 0) {
     return Status::InvalidArgument("timeout must be positive");
   }
-  auto [it, inserted] = functions_.emplace(spec.name, std::move(spec));
+  const auto [it, inserted] = functions_.try_emplace(spec.name);
   if (!inserted) {
     return Status::AlreadyExists("function '" + it->first +
                                  "' already registered");
   }
+  RegisteredFunction& fn = it->second;
+  fn.invoke_span = "invoke:" + it->first;
+  fn.hedged_span = "hedged:" + it->first;
+  fn.spec = std::move(spec);
   // Pre-resolve the tenant's labeled series now so the invoke hot path
   // never pays a registration lookup.
-  TenantMetrics(it->second.tenant);
+  TenantMetrics(fn.spec.tenant);
   return Status::OK();
 }
 
@@ -170,7 +175,7 @@ Result<FunctionSpec> FaasPlatform::GetFunction(const std::string& name) const {
   if (it == functions_.end()) {
     return Status::NotFound("function '" + name + "' not registered");
   }
-  return it->second;
+  return it->second.spec;
 }
 
 Result<uint64_t> FaasPlatform::Invoke(const std::string& function,
@@ -192,7 +197,7 @@ Result<uint64_t> FaasPlatform::InvokeShared(
   auto inv = std::make_shared<Invocation>();
   inv->id = next_invocation_id_++;
   inv->function = function;
-  inv->tenant = fn_it->second.tenant;
+  inv->tenant = fn_it->second.spec.tenant;
   inv->payload = std::move(payload);
   inv->cb = std::move(cb);
   inv->submit_us = sim_->Now();
@@ -201,8 +206,8 @@ Result<uint64_t> FaasPlatform::InvokeShared(
   h_.invocations.Inc();
   if (TenantHandles* th = TenantMetrics(inv->tenant)) th->invocations.Inc();
   if (obs_ != nullptr) {
-    inv->root_ctx = obs_->tracer.StartSpan("invoke:" + function, "faas",
-                                           parent);
+    inv->root_ctx =
+        obs_->tracer.StartSpan(fn_it->second.invoke_span, "faas", parent);
     if (!inv->tenant.empty()) {
       obs_->tracer.SetAttr(inv->root_ctx, obs::kTenantAttr, inv->tenant);
     }
@@ -213,8 +218,8 @@ Result<uint64_t> FaasPlatform::InvokeShared(
   // the result cache, a degraded-mode approximation, or an identical
   // in-flight execution — all before admission, because a reused answer
   // consumes no capacity and relieves the very pressure admission sheds.
-  if (reuse_ != nullptr && reuse_->enabled() && fn_it->second.idempotent &&
-      TryServeReuse(inv)) {
+  if (reuse_ != nullptr && reuse_->enabled() &&
+      fn_it->second.spec.idempotent && TryServeReuse(inv)) {
     return inv->id;
   }
 
@@ -358,7 +363,7 @@ void FaasPlatform::Dispatch(std::shared_ptr<Invocation> inv) {
 }
 
 bool FaasPlatform::TryPlace(std::shared_ptr<Invocation> inv) {
-  const FunctionSpec& spec = functions_.at(inv->function);
+  const FunctionSpec& spec = functions_.at(inv->function).spec;
 
   // Prefer a warm container (most recently used — best cache locality and
   // lets older ones age out). Containers on partitioned machines are
@@ -424,7 +429,7 @@ Result<FaasPlatform::ColdStart> FaasPlatform::StartContainer(
 void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
                                     Container* container, bool cold,
                                     SimDuration startup_us) {
-  const FunctionSpec& spec = functions_.at(inv->function);
+  const FunctionSpec& spec = functions_.at(inv->function).spec;
   inv->unit_owner = container->owner;
   inv->queue_us = sim_->Now() - inv->attempt_start_us;
   h_.queue_latency_us.Add(double(inv->queue_us));
@@ -472,7 +477,7 @@ void FaasPlatform::FinishAttempt(std::shared_ptr<Invocation> inv,
                                  Container* container, bool cold,
                                  SimDuration startup_us, SimDuration exec_us,
                                  Status attempt_status, std::string output) {
-  const FunctionSpec& spec = functions_.at(inv->function);
+  const FunctionSpec& spec = functions_.at(inv->function).spec;
 
   // Run the real handler (if any) only for attempts that did not already
   // fail in the simulated-outcome stage.
@@ -603,22 +608,24 @@ void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
                        : inv->served_via == ServedVia::kCoalesced
                            ? "coalesced"
                            : "approximation";
-    std::vector<std::pair<std::string, std::string>> attrs = {
-        {obs::kCategoryAttr, "reuse"}, {"path", path}};
+    obs::Tracer& tracer = obs_->tracer;
+    const obs::TraceContext reuse = tracer.StartSpanAt(
+        std::string("reuse-") + path, "faas", inv->root_ctx, inv->submit_us);
+    tracer.SetAttr(reuse, obs::kCategoryAttr, "reuse");
+    tracer.SetAttr(reuse, "path", path);
     if (inv->served_via == ServedVia::kApproximation) {
-      attrs.emplace_back("error_bound",
-                         std::to_string(inv->approx_error_bound));
+      tracer.SetAttr(reuse, "error_bound",
+                     std::to_string(inv->approx_error_bound));
     }
-    obs_->tracer.EmitSpan(std::string("reuse-") + path, "faas", inv->root_ctx,
-                          inv->submit_us, sim_->Now(), std::move(attrs));
-    obs_->tracer.SetAttr(inv->root_ctx, "reuse", path);
+    tracer.EndSpanAt(reuse, sim_->Now());
+    tracer.SetAttr(inv->root_ctx, "reuse", path);
   }
   if (obs_ != nullptr && inv->root_ctx.valid()) {
     obs_->tracer.SetAttr(inv->root_ctx, "cold", res.cold_start ? "1" : "0");
     obs_->tracer.SetAttr(inv->root_ctx, "attempts",
                          std::to_string(res.attempts));
     obs_->tracer.SetAttr(inv->root_ctx, "status",
-                         std::string(StatusCodeName(res.status.code())));
+                         StatusCodeName(res.status.code()));
     // Outcome/severity for tail sampling: terminal failures are errors, a
     // chaos kill retried to success is a masked fault (warn) — both must
     // survive any sampling rate.
@@ -715,7 +722,7 @@ Result<size_t> FaasPlatform::Prewarm(const std::string& function,
   if (spec_it == functions_.end()) {
     return Status::NotFound("function '" + function + "' not registered");
   }
-  const FunctionSpec& spec = spec_it->second;
+  const FunctionSpec& spec = spec_it->second.spec;
   size_t started = 0;
   for (size_t i = 0; i < count; ++i) {
     auto cold = StartContainer(function, spec);
@@ -774,7 +781,7 @@ FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
   Invocation& inv = *a.inv;
   inv.cost_so_far +=
       ledger_.Charge(inv.id, inv.attempt, inv.function, a.exec_us,
-                     functions_.at(inv.function).demand.memory_mb);
+                     functions_.at(inv.function).spec.demand.memory_mb);
   h_.exec_latency_us.Add(double(a.exec_us));
   EmitAttemptSpans(inv, sim_->Now(), a.startup_us, a.exec_us, a.cold, status,
                    killed);
@@ -855,19 +862,18 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
     return InvokeShared(function, std::move(shared_payload), std::move(cb),
                         parent, deadline);
   }
-  if (!functions_.count(function)) {
+  const auto fn_it = functions_.find(function);
+  if (fn_it == functions_.end()) {
     return Status::NotFound("function '" + function + "' not registered");
   }
   auto hs = std::make_shared<HedgeState>();
   hs->cb = std::move(cb);
   hs->submit_us = sim_->Now();
   if (obs_ != nullptr) {
-    hs->root_ctx =
-        obs_->tracer.StartSpan("hedged:" + function, "faas", parent);
-    const auto fn_it = functions_.find(function);
-    if (fn_it != functions_.end() && !fn_it->second.tenant.empty()) {
-      obs_->tracer.SetAttr(hs->root_ctx, obs::kTenantAttr,
-                           fn_it->second.tenant);
+    const RegisteredFunction& fn = fn_it->second;
+    hs->root_ctx = obs_->tracer.StartSpan(fn.hedged_span, "faas", parent);
+    if (!fn.spec.tenant.empty()) {
+      obs_->tracer.SetAttr(hs->root_ctx, obs::kTenantAttr, fn.spec.tenant);
     }
   }
   auto primary = InvokeShared(
@@ -893,7 +899,7 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
         // The wait-before-duplicating window is guard policy time: charge
         // it to the guard category wherever no deeper span covers it.
         guard_->EmitGuardSpan("hedge-wait", "faas", hs->root_ctx,
-                              hs->submit_us, sim_->Now(), {});
+                              hs->submit_us, sim_->Now());
         auto hedge = InvokeShared(
             function, payload,
             [this, hs](const InvocationResult& res) {
@@ -937,7 +943,7 @@ void FaasPlatform::OnHedgeResult(std::shared_ptr<HedgeState> hs,
     obs_->tracer.SetAttr(hs->root_ctx, "winner",
                          from_hedge ? "hedge" : "primary");
     obs_->tracer.SetAttr(hs->root_ctx, "status",
-                         std::string(StatusCodeName(out.status.code())));
+                         StatusCodeName(out.status.code()));
     obs_->tracer.SetAttr(hs->root_ctx, obs::kOutcomeAttr,
                          out.status.ok() ? obs::kOutcomeOk : obs::kOutcomeError);
     obs_->tracer.SetAttr(hs->root_ctx, obs::kSeverityAttr,

@@ -471,7 +471,14 @@ class FaasPlatform {
   long double container_mb_us_ = 0;
   mutable PlatformMetrics metrics_view_;
 
-  std::unordered_map<std::string, FunctionSpec> functions_;
+  /// A registered function plus the root-span names of its requests, built
+  /// once here so the per-request path does not concatenate them.
+  struct RegisteredFunction {
+    FunctionSpec spec;
+    std::string invoke_span;  ///< "invoke:<name>"
+    std::string hedged_span;  ///< "hedged:<name>"
+  };
+  std::unordered_map<std::string, RegisteredFunction> functions_;
   std::unordered_map<uint64_t, std::unique_ptr<Container>> containers_;
   /// Live container count per function (for per-function concurrency caps).
   std::unordered_map<std::string, size_t> containers_per_function_;

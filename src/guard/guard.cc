@@ -102,26 +102,26 @@ void Guard::RecordShed(const std::string& module, AdmissionDecision d,
   } else {
     h_.shed_deadline.Inc();
   }
-  std::vector<std::pair<std::string, std::string>> attrs{
-      {"reason", std::string(AdmissionDecisionName(d))}};
-  if (!tenant.empty()) {
-    TenantMetrics(tenant).sheds.Inc();
-    attrs.emplace_back(obs::kTenantAttr, tenant);
+  if (!tenant.empty()) TenantMetrics(tenant).sheds.Inc();
+  const obs::TraceContext span = StartGuardSpan("shed", module, parent, now);
+  if (span.valid()) {
+    obs_->tracer.SetAttr(span, "reason", AdmissionDecisionName(d));
+    if (!tenant.empty()) obs_->tracer.SetAttr(span, obs::kTenantAttr, tenant);
+    obs_->tracer.EndSpanAt(span, now);
   }
-  EmitGuardSpan("shed", module, parent, now, now, std::move(attrs));
 }
 
 void Guard::RecordDeadlineExceeded(const std::string& module,
                                    obs::TraceContext parent, SimTime start_us,
                                    SimTime now, const std::string& tenant) {
   h_.deadline_exceeded.Inc();
-  std::vector<std::pair<std::string, std::string>> attrs;
-  if (!tenant.empty()) {
-    TenantMetrics(tenant).deadline_exceeded.Inc();
-    attrs.emplace_back(obs::kTenantAttr, tenant);
+  if (!tenant.empty()) TenantMetrics(tenant).deadline_exceeded.Inc();
+  const obs::TraceContext span =
+      StartGuardSpan("deadline-exceeded", module, parent, start_us);
+  if (span.valid()) {
+    if (!tenant.empty()) obs_->tracer.SetAttr(span, obs::kTenantAttr, tenant);
+    obs_->tracer.EndSpanAt(span, now);
   }
-  EmitGuardSpan("deadline-exceeded", module, parent, start_us, now,
-                std::move(attrs));
 }
 
 void Guard::RecordRetryDecision(const std::string& module, bool granted,
@@ -133,14 +133,18 @@ void Guard::RecordRetryDecision(const std::string& module, bool granted,
     if (!tenant.empty()) TenantMetrics(tenant).retries_granted.Inc();
   } else {
     h_.retries_denied.Inc();
-    std::vector<std::pair<std::string, std::string>> attrs;
-    if (epoch_provider_) attrs.emplace_back("epoch", std::to_string(epoch));
-    if (!tenant.empty()) {
-      TenantMetrics(tenant).retries_denied.Inc();
-      attrs.emplace_back(obs::kTenantAttr, tenant);
+    if (!tenant.empty()) TenantMetrics(tenant).retries_denied.Inc();
+    const obs::TraceContext span =
+        StartGuardSpan("retry-budget-exhausted", module, parent, now);
+    if (span.valid()) {
+      if (epoch_provider_) {
+        obs_->tracer.SetAttr(span, "epoch", std::to_string(epoch));
+      }
+      if (!tenant.empty()) {
+        obs_->tracer.SetAttr(span, obs::kTenantAttr, tenant);
+      }
+      obs_->tracer.EndSpanAt(span, now);
     }
-    EmitGuardSpan("retry-budget-exhausted", module, parent, now, now,
-                  std::move(attrs));
   }
   h_.retry_tokens.Set(retry_budget_.tokens());
   if (epoch_provider_) h_.epoch.Set(double(epoch));
@@ -158,14 +162,24 @@ void Guard::RecordHedgeCancelled(SimDuration wasted_us) {
 
 void Guard::RecordHedgeDeduped() { h_.hedge_deduped.Inc(); }
 
-obs::TraceContext Guard::EmitGuardSpan(
-    const std::string& name, const std::string& module,
-    obs::TraceContext parent, SimTime start_us, SimTime end_us,
-    std::vector<std::pair<std::string, std::string>> extra_attrs) {
+obs::TraceContext Guard::StartGuardSpan(std::string_view name,
+                                        std::string_view module,
+                                        obs::TraceContext parent,
+                                        SimTime start_us) {
   if (obs_ == nullptr || !parent.valid()) return {};
-  extra_attrs.emplace_back(obs::kCategoryAttr, "guard");
-  return obs_->tracer.EmitSpan(name, module, parent, start_us, end_us,
-                               std::move(extra_attrs));
+  const obs::TraceContext span =
+      obs_->tracer.StartSpanAt(name, module, parent, start_us);
+  obs_->tracer.SetAttr(span, obs::kCategoryAttr, "guard");
+  return span;
+}
+
+obs::TraceContext Guard::EmitGuardSpan(std::string_view name,
+                                       std::string_view module,
+                                       obs::TraceContext parent,
+                                       SimTime start_us, SimTime end_us) {
+  const obs::TraceContext span = StartGuardSpan(name, module, parent, start_us);
+  if (span.valid()) obs_->tracer.EndSpanAt(span, end_us);
+  return span;
 }
 
 GuardStats Guard::stats() const {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,10 +117,10 @@ class Guard {
 
   /// Emits a finished guard-category span (e.g. the hedge wait window).
   /// No-op without tracing or a valid parent.
-  obs::TraceContext EmitGuardSpan(
-      const std::string& name, const std::string& module,
-      obs::TraceContext parent, SimTime start_us, SimTime end_us,
-      std::vector<std::pair<std::string, std::string>> extra_attrs = {});
+  obs::TraceContext EmitGuardSpan(std::string_view name,
+                                  std::string_view module,
+                                  obs::TraceContext parent, SimTime start_us,
+                                  SimTime end_us);
 
   GuardStats stats() const;
   /// Total duplicate execution time billed to cancelled hedges.
@@ -141,6 +142,11 @@ class Guard {
   /// Resolves `tenant`'s labeled series in the current registry.
   TenantHandles ResolveTenant(const std::string& tenant);
   TenantHandles& TenantMetrics(const std::string& tenant);
+  /// Opens a span with cat=guard at `start_us`; the caller adds its
+  /// attributes and closes it. Invalid without tracing or a valid parent.
+  obs::TraceContext StartGuardSpan(std::string_view name,
+                                   std::string_view module,
+                                   obs::TraceContext parent, SimTime start_us);
 
   GuardConfig config_;
   RetryBudget retry_budget_;

@@ -30,15 +30,16 @@ void BlockBacked::RecordOp(const char* name, obs::TraceContext parent,
   tenant_ops_counter_.Inc();  // no-op for anonymous structures
   op_latency_.Add(double(latency_us));
   const SimTime now = obs_->tracer.sim()->Now();
-  std::vector<std::pair<std::string, std::string>> attrs = {
-      {obs::kCategoryAttr, "shuffle"},
-      {obs::kAsyncAttr, "1"},
-      {"status", std::string(StatusCodeName(status.code()))},
-      {obs::kOutcomeAttr, status.ok() ? obs::kOutcomeOk : obs::kOutcomeError},
-      {obs::kSeverityAttr, status.ok() ? "info" : "error"}};
-  if (!owner_.empty()) attrs.emplace_back(obs::kTenantAttr, owner_);
-  obs_->tracer.EmitSpan(name, "jiffy", parent, now, now + latency_us,
-                        std::move(attrs));
+  obs::Tracer& tracer = obs_->tracer;
+  const obs::TraceContext span = tracer.StartSpanAt(name, "jiffy", parent, now);
+  tracer.SetAttr(span, obs::kCategoryAttr, "shuffle");
+  tracer.SetAttr(span, obs::kAsyncAttr, "1");
+  tracer.SetAttr(span, "status", StatusCodeName(status.code()));
+  tracer.SetAttr(span, obs::kOutcomeAttr,
+                 status.ok() ? obs::kOutcomeOk : obs::kOutcomeError);
+  tracer.SetAttr(span, obs::kSeverityAttr, status.ok() ? "info" : "error");
+  if (!owner_.empty()) tracer.SetAttr(span, obs::kTenantAttr, owner_);
+  tracer.EndSpanAt(span, now + latency_us);
 }
 
 JiffyOp BlockBacked::Done(JiffyOp op, const char* name,

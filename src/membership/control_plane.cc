@@ -282,12 +282,17 @@ size_t ControlPlane::ReconcileWith(ControlPlane* other) {
 
 void ControlPlane::EmitSpan(
     const std::string& name, const char* category,
-    std::vector<std::pair<std::string, std::string>> attrs) {
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        attrs) {
   if (obs_ == nullptr) return;
-  attrs.emplace_back("self", std::to_string(config_.self));
-  if (category != nullptr) attrs.emplace_back(obs::kCategoryAttr, category);
+  obs::Tracer& tracer = obs_->tracer;
   const SimTime now = sim_->Now();
-  obs_->tracer.EmitSpan(name, "control-plane", {}, now, now, std::move(attrs));
+  const obs::TraceContext span =
+      tracer.StartSpanAt(name, "control-plane", {}, now);
+  for (const auto& [key, value] : attrs) tracer.SetAttr(span, key, value);
+  tracer.SetAttr(span, "self", std::to_string(config_.self));
+  if (category != nullptr) tracer.SetAttr(span, obs::kCategoryAttr, category);
+  tracer.EndSpanAt(span, now);
 }
 
 const ControlPlaneStats& ControlPlane::stats() const {

@@ -30,9 +30,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/time_types.h"
@@ -202,8 +205,12 @@ class ControlPlane {
                     MemberState to, uint64_t epoch);
   void HandleDead(NodeId dead, uint64_t epoch);
   void HandleRejoin(NodeId rejoined, uint64_t epoch);
-  void EmitSpan(const std::string& name, const char* category,
-                std::vector<std::pair<std::string, std::string>> attrs);
+  /// A zero-length control-plane span at Now() carrying `attrs`, the
+  /// replica's id and, when non-null, `category`.
+  void EmitSpan(
+      const std::string& name, const char* category,
+      std::initializer_list<std::pair<std::string_view, std::string_view>>
+          attrs);
 
   sim::Simulation* sim_;
   MembershipService* membership_;

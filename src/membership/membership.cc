@@ -205,18 +205,20 @@ void MembershipService::SetMember(NodeId observer, NodeId peer,
     h_.rejoins.Inc();
   }
   if (obs_ != nullptr) {
-    std::vector<std::pair<std::string, std::string>> attrs = {
-        {"observer", std::to_string(observer)},
-        {"peer", std::to_string(peer)},
-        {"from", std::string(MemberStateName(from))},
-        {"inc", std::to_string(incarnation)},
-        {"epoch", std::to_string(self.epoch)},
-        {obs::kSeverityAttr, sev}};
+    obs::Tracer& tracer = obs_->tracer;
+    const obs::TraceContext span = tracer.StartSpanAt(
+        "member:" + std::string(MemberStateName(state)), "membership", {},
+        now);
+    tracer.SetAttr(span, "observer", std::to_string(observer));
+    tracer.SetAttr(span, "peer", std::to_string(peer));
+    tracer.SetAttr(span, "from", MemberStateName(from));
+    tracer.SetAttr(span, "inc", std::to_string(incarnation));
+    tracer.SetAttr(span, "epoch", std::to_string(self.epoch));
+    tracer.SetAttr(span, obs::kSeverityAttr, sev);
     if (state == MemberState::kDead) {
-      attrs.emplace_back(obs::kOutcomeAttr, obs::kOutcomeFault);
+      tracer.SetAttr(span, obs::kOutcomeAttr, obs::kOutcomeFault);
     }
-    obs_->tracer.EmitSpan("member:" + std::string(MemberStateName(state)),
-                          "membership", {}, now, now, std::move(attrs));
+    tracer.EndSpanAt(span, now);
   }
   for (const TransitionListener& l : listeners_) {
     l(observer, peer, from, state, self.epoch);

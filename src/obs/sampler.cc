@@ -239,10 +239,8 @@ size_t SamplingPipeline::pending_span_count() const {
 }
 
 size_t SamplingPipeline::ApproxSpanBytes(const Span& span) {
-  size_t bytes = sizeof(Span) + span.name.size() + span.module.size();
-  for (const auto& [k, v] : span.attrs) {
-    bytes += k.size() + v.size() + 32;  // node + pointer overhead estimate
-  }
+  size_t bytes = kSpanModelBytes + span.name.size() + span.module.size();
+  for (const auto& [k, v] : span.attrs) bytes += k.size() + v.size() + 32;
   return bytes;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 namespace taureau::obs {
 namespace {
@@ -33,6 +34,39 @@ std::string JsonEscape(const std::string& s) {
 }
 
 }  // namespace
+
+namespace {
+
+bool KeyLess(const SpanAttrs::value_type& entry, std::string_view key) {
+  return std::string_view(entry.first.str()) < key;
+}
+
+}  // namespace
+
+void SpanAttrs::Set(Interned key, std::string_view value) {
+  if (items_.capacity() == 0) items_.reserve(kInitialCapacity);
+  const auto it = std::lower_bound(items_.begin(), items_.end(),
+                                   std::string_view(key.str()), KeyLess);
+  if (it != items_.end() && it->first == key) {
+    it->second.assign(value);
+  } else {
+    items_.emplace(it, key, value);
+  }
+}
+
+SpanAttrs::const_iterator SpanAttrs::find(std::string_view key) const {
+  const auto it = std::lower_bound(items_.begin(), items_.end(), key, KeyLess);
+  return it != items_.end() && it->first == key ? it : items_.end();
+}
+
+const std::string& SpanAttrs::at(std::string_view key) const {
+  const auto it = find(key);
+  if (it == end()) {
+    throw std::out_of_range("span has no attribute '" + std::string(key) +
+                            "'");
+  }
+  return it->second;
+}
 
 void AppendSpanLine(const Span& s, std::string* out) {
   char buf[256];
@@ -114,9 +148,11 @@ Span* Tracer::FindMutable(TraceContext ctx) {
   return &spans_[ctx.span_id - 1];
 }
 
-void Tracer::SetAttr(TraceContext ctx, const std::string& key,
-                     std::string value) {
-  if (Span* s = FindMutable(ctx)) s->attrs[key] = std::move(value);
+void Tracer::SetAttr(TraceContext ctx, std::string_view key,
+                     std::string_view value) {
+  if (Span* s = FindMutable(ctx)) {
+    s->attrs.Set(Interned(symbols_.Intern(key)), value);
+  }
 }
 
 void Tracer::EndSpan(TraceContext ctx) { EndSpanAt(ctx, sim_->Now()); }
@@ -137,10 +173,14 @@ void Tracer::EndSpanAt(TraceContext ctx, SimTime end_us) {
 TraceContext Tracer::EmitSpan(
     std::string_view name, std::string_view module, TraceContext parent,
     SimTime start_us, SimTime end_us,
-    std::vector<std::pair<std::string, std::string>> attrs) {
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        attrs) {
   const TraceContext ctx = StartSpanAt(name, module, parent, start_us);
   if (Span* s = FindMutable(ctx)) {
-    for (auto& [k, v] : attrs) s->attrs[k] = std::move(v);
+    s->attrs.reserve(attrs.size());
+    for (const auto& [k, v] : attrs) {
+      s->attrs.Set(Interned(symbols_.Intern(k)), v);
+    }
   }
   EndSpanAt(ctx, end_us);
   return ctx;

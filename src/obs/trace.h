@@ -8,8 +8,9 @@
 // byte-identical traces — the determinism contract the obs test suite pins.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,9 +35,51 @@ struct TraceContext {
   bool operator==(const TraceContext&) const = default;
 };
 
-/// One timed, attributed node of a trace tree. Name and module are interned
-/// (see obs/interned.h): 8-byte references into the tracer's symbol table,
-/// reading exactly like the std::string fields they replaced.
+/// A span's attributes: one flat vector of (key, value) entries kept
+/// sorted by key bytes, so iteration (and therefore every export) visits
+/// keys in the order a std::map<std::string, std::string> would. Keys are
+/// interned (8 B each); values are owned strings. Reads mirror the map's
+/// const interface (find/count/at/iteration with `.first`/`.second`).
+///
+/// Cost: the first Set on an empty span reserves kInitialCapacity entries
+/// (EmitSpan reserves its list's size instead), so a span with up to that
+/// many attributes performs one allocation for all of them, values longer
+/// than the small-string buffer aside.
+class SpanAttrs {
+ public:
+  using value_type = std::pair<Interned, std::string>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  static constexpr size_t kInitialCapacity = 8;
+
+  /// Sets `key` to `value`, overwriting an existing entry. Tracer passes
+  /// keys interned in its own symbol table.
+  void Set(Interned key, std::string_view value);
+  /// Hand-built spans: interns `key` in the process-wide table.
+  void Set(std::string_view key, std::string_view value) {
+    Set(Interned(InternGlobal(key)), value);
+  }
+  /// Room for `n` entries in total (EmitSpan sizes a span exactly).
+  void reserve(size_t n) { items_.reserve(n); }
+
+  const_iterator find(std::string_view key) const;
+  size_t count(std::string_view key) const { return find(key) != end(); }
+  /// The value of `key`; throws std::out_of_range when absent.
+  const std::string& at(std::string_view key) const;
+
+  const_iterator begin() const { return items_.begin(); }
+  const_iterator end() const { return items_.end(); }
+  size_t size() const { return items_.size(); }
+  bool empty() const { return items_.empty(); }
+
+ private:
+  std::vector<value_type> items_;  ///< Sorted by key bytes, keys unique.
+};
+
+/// One timed, attributed node of a trace tree. Name, module and attribute
+/// keys are interned (see obs/interned.h): 8-byte references into the
+/// tracer's symbol table, reading exactly like the std::string fields they
+/// replaced. 80 bytes on LP64, attributes excluded.
 struct Span {
   uint64_t id = 0;      ///< Sequential from 1; index into Tracer::spans().
   uint64_t parent = 0;  ///< 0 for roots.
@@ -47,7 +90,7 @@ struct Span {
   SimTime end_us = -1;  ///< < start_us means still open.
   /// Sorted so serialization is deterministic. The "cat" attribute feeds
   /// the critical-path analyzer (see critical_path.h).
-  std::map<std::string, std::string> attrs;
+  SpanAttrs attrs;
 
   bool ended() const { return end_us >= start_us; }
   SimDuration duration_us() const { return ended() ? end_us - start_us : 0; }
@@ -144,8 +187,10 @@ class Tracer {
   TraceContext StartSpanAt(std::string_view name, std::string_view module,
                            TraceContext parent, SimTime start_us);
 
-  /// Sets one attribute (overwriting) on an open or closed span.
-  void SetAttr(TraceContext ctx, const std::string& key, std::string value);
+  /// Sets one attribute (overwriting) on an open or closed span. The key
+  /// is interned in this tracer's symbol table (a hash lookup, no copy
+  /// after its first use); the value is copied into the span.
+  void SetAttr(TraceContext ctx, std::string_view key, std::string_view value);
 
   /// Closes the span at Now() / at `end_us`. Closing twice keeps the first
   /// end time; invalid contexts are ignored.
@@ -154,11 +199,15 @@ class Tracer {
 
   /// Emits a fully-formed span in one call (retrospective instrumentation:
   /// the platform knows an attempt's queue/startup/exec intervals only once
-  /// the attempt finishes).
+  /// the attempt finishes). `attrs` are applied in order (a repeated key
+  /// keeps its last value) into storage sized once for the whole list. The
+  /// views need only outlive the call. A span whose attributes depend on
+  /// conditions is built with StartSpanAt + SetAttr + EndSpanAt instead.
   TraceContext EmitSpan(
       std::string_view name, std::string_view module, TraceContext parent,
       SimTime start_us, SimTime end_us,
-      std::vector<std::pair<std::string, std::string>> attrs = {});
+      std::initializer_list<std::pair<std::string_view, std::string_view>>
+          attrs = {});
 
   /// Streams every span through `sink` as it opens/closes (nullptr
   /// detaches). Works in both store modes; in kStream the sink is the only
@@ -211,7 +260,7 @@ class Tracer {
   sim::Simulation* sim_;
   StoreMode mode_ = StoreMode::kRetainAll;
   SpanSink* sink_ = nullptr;
-  SymbolTable symbols_;  ///< Canonical span name/module strings.
+  SymbolTable symbols_;  ///< Canonical span names, modules and attr keys.
   std::vector<Span> spans_;  ///< kRetainAll: spans_[id - 1] holds span `id`.
   std::unordered_map<uint64_t, Span> open_;  ///< kStream: open spans by id.
   /// kStream: emptied open_ nodes, reused by StartSpanAt.

@@ -328,7 +328,7 @@ Span MakeSpan(uint64_t id, uint64_t parent, uint64_t trace,
   s.module = "t";
   s.start_us = start;
   s.end_us = end;
-  if (!cat.empty()) s.attrs[kCategoryAttr] = cat;
+  if (!cat.empty()) s.attrs.Set(kCategoryAttr, cat);
   return s;
 }
 
@@ -856,11 +856,11 @@ std::vector<Span> RandomGroup(Rng* rng, uint64_t trace, uint64_t* next_id) {
         s.end_us = s.start_us + 1 + SimTime(rng->NextBounded(300));
     }
     const char* cat = kCats[rng->NextBounded(7)];
-    if (*cat != '\0') s.attrs[kCategoryAttr] = cat;
+    if (*cat != '\0') s.attrs.Set(kCategoryAttr, cat);
     if (rng->NextBounded(3) == 0) {
-      s.attrs[kTenantAttr] = kTenants[rng->NextBounded(3)];
+      s.attrs.Set(kTenantAttr, kTenants[rng->NextBounded(3)]);
     }
-    if (rng->NextBounded(6) == 0) s.attrs[kAsyncAttr] = "1";
+    if (rng->NextBounded(6) == 0) s.attrs.Set(kAsyncAttr, "1");
     spans.push_back(std::move(s));
   }
   return spans;
@@ -1071,13 +1071,15 @@ std::string RunRecyclingWorkload(double head_rate) {
       case 2: {
         if (roots.empty()) break;
         const TraceContext parent = roots[rng.NextBounded(roots.size())];
-        std::vector<std::pair<std::string, std::string>> attrs;
+        const TraceContext exec =
+            o.tracer.StartSpanAt("exec", "svc", parent, now);
         for (uint64_t a = rng.NextBounded(3); a > 0; --a) {
-          attrs.emplace_back("a" + std::to_string(a), tag);
+          o.tracer.SetAttr(exec, "a" + std::to_string(a), tag);
         }
-        if (rng.NextBounded(2) == 0) attrs.emplace_back(kCategoryAttr, "exec");
-        o.tracer.EmitSpan("exec", "svc", parent, now, now + 5,
-                          std::move(attrs));
+        if (rng.NextBounded(2) == 0) {
+          o.tracer.SetAttr(exec, kCategoryAttr, "exec");
+        }
+        o.tracer.EndSpanAt(exec, now + 5);
         break;
       }
       case 3: {
