@@ -20,6 +20,10 @@
 //   E24d  parallel sweep — the RunSweep driver over per-run isolated
 //         Simulation/Registry/Tracer worlds. Acceptance: merged results
 //         byte-identical at 1 thread and at N.
+//   E24e  reuse miss path — ReuseLayer driven the way FaasPlatform drives
+//         it for a fresh payload, over unique keys at steady state with
+//         TTL expiry. Acceptance: <= 2.01 allocs per miss (the result
+//         cache's node and the singleflight group's node).
 //
 // The experiment tables land in BENCH_E24.json; CI's bench-smoke job greps
 // the acceptance notes and compares events/sec against the checked-in
@@ -45,6 +49,7 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "reuse/reuse.h"
 #include "sim/simulation.h"
 
 // ------------------------------------------------------- allocation probe
@@ -372,6 +377,55 @@ TelemetryResult MeasureTelemetry(long ops) {
   return r;
 }
 
+// ------------------------------------------------------ reuse miss path
+//
+// One op is the sequence FaasPlatform runs for an idempotent invocation
+// whose payload the layer has never seen: KeyFor -> NoteRequest -> Lookup
+// (miss) -> RecordMiss -> Lead -> Offer -> Complete. Payloads are unique,
+// so every op misses and the hot-key sketch evicts on every op; ops are
+// 1 us apart and the TTL is 1 ms, so after warm-up each Offer sweeps one
+// expired entry and the cache holds a steady 1000. Outputs fit the
+// small-string buffer, so the count is the layer's own allocations.
+
+struct ReuseMissResult {
+  double ns_per_op = 0;
+  double allocs_per_op = 0;
+};
+
+ReuseMissResult MeasureReuseMiss(long ops) {
+  reuse::ReuseConfig cfg;
+  cfg.cache.ttl_us = 1000;
+  reuse::ReuseLayer layer(cfg);
+  const std::string function = "resize";
+  const std::string tenant = "tenant-03";
+  char payload[32];
+  SimTime now = 0;
+  auto miss = [&] {
+    const int n = std::snprintf(payload, sizeof(payload), "req-%012lld",
+                                static_cast<long long>(now));
+    const reuse::ContentKey key =
+        layer.KeyFor(function, std::string_view(payload, size_t(n)));
+    layer.NoteRequest(key);
+    if (layer.Lookup(key, now) == nullptr) {
+      layer.RecordMiss(tenant);
+      layer.flights().Lead(key, uint64_t(now));
+      layer.Offer(key, {Status::OK(), "thumb", /*exec_us=*/1000}, now);
+      layer.flights().Complete(key);
+    }
+    ++now;
+  };
+  for (int i = 0; i < 8192; ++i) miss();
+  ReuseMissResult r;
+  const uint64_t before = AllocCount();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (long i = 0; i < ops; ++i) miss();
+  const auto t1 = std::chrono::steady_clock::now();
+  r.allocs_per_op = double(AllocCount() - before) / double(ops);
+  r.ns_per_op =
+      1e9 * std::chrono::duration<double>(t1 - t0).count() / double(ops);
+  return r;
+}
+
 // ------------------------------------------------------- parallel sweep
 //
 // Each sweep cell simulates a small open-loop service with Poisson-ish
@@ -491,6 +545,18 @@ void RunExperiment() {
                 bench::Fmt("%.0f", tel.ns_attr_trace),
                 bench::Fmt("%.4f", tel.attr_allocs_per_trace)});
   telem.Print("E24c: telemetry record-path cost");
+
+  // E24e: the reuse layer's miss path.
+  const ReuseMissResult rm = MeasureReuseMiss(small ? 100000 : 1000000);
+  bench::Table reuse_miss({"operation", "ns/op", "allocs/op"});
+  reuse_miss.AddRow({"KeyFor+NoteRequest+Lookup+RecordMiss+Lead+Offer+"
+                     "Complete, unique keys, TTL steady state",
+                     bench::Fmt("%.0f", rm.ns_per_op),
+                     bench::Fmt("%.3f", rm.allocs_per_op)});
+  reuse_miss.Print("E24e: reuse miss path (per miss)");
+  const bool reuse_miss_two_nodes = rm.allocs_per_op <= 2.01;
+  bench::JsonReport::Instance().Note(
+      "reuse_miss_allocs_per_op", bench::Fmt("%.3f", rm.allocs_per_op));
   const bool span_zero_alloc = tel.span_allocs_per_op == 0;
   const bool pipeline_low_alloc = tel.pipeline_allocs_per_trace < 0.01;
   const bool attr_one_alloc_per_span = tel.attr_allocs_per_trace <= 3.01;
@@ -551,7 +617,8 @@ void RunExperiment() {
 
   const bool pass = speedup >= 5.0 && same_checksum && zero_alloc &&
                     span_zero_alloc && pipeline_low_alloc &&
-                    attr_one_alloc_per_span && sweep_same && rerun_same;
+                    attr_one_alloc_per_span && reuse_miss_two_nodes &&
+                    sweep_same && rerun_same;
   bench::JsonReport::Instance().Note(
       "acceptance",
       std::string(pass ? "PASS" : "FAIL") +
@@ -563,6 +630,8 @@ void RunExperiment() {
                      tel.pipeline_allocs_per_trace) +
           bench::Fmt(" attr_allocs_per_trace=%.4f(<=3.01)",
                      tel.attr_allocs_per_trace) +
+          bench::Fmt(" reuse_miss_allocs_per_op=%.3f(<=2.01)",
+                     rm.allocs_per_op) +
           std::string(same_checksum ? " checksum=same" : " checksum=DIFF") +
           std::string(sweep_same ? " sweep=deterministic"
                                  : " sweep=DIVERGED") +
@@ -572,10 +641,10 @@ void RunExperiment() {
                                                               : "BROKEN");
   std::printf("\nE24 acceptance: %s (speedup %.2fx, %.3f allocs/event, "
               "%.3f allocs/span, %.4f allocs/pipeline trace, %.4f "
-              "allocs/attributed trace, sweep %s)\n",
+              "allocs/attributed trace, %.3f allocs/reuse miss, sweep %s)\n",
               pass ? "PASS" : "FAIL", speedup, e24.steady_allocs_per_event,
               tel.span_allocs_per_op, tel.pipeline_allocs_per_trace,
-              tel.attr_allocs_per_trace,
+              tel.attr_allocs_per_trace, rm.allocs_per_op,
               sweep_same ? "deterministic" : "DIVERGED");
 }
 

@@ -257,13 +257,13 @@ SimDuration FaasPlatform::SampleDispatchDelay() {
 }
 
 bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
-  inv->reuse_key = reuse::ReuseLayer::Key(inv->function, *inv->payload);
-  reuse_->NoteRequest(inv->reuse_key);
+  const reuse::ContentKey key = reuse_->KeyFor(inv->function, *inv->payload);
+  inv->reuse_key = key;
+  reuse_->NoteRequest(key);
 
   // 1. Memoized result: answer now (zero-delay event — the callback never
   //    fires inside the caller's Invoke), zero cost, no container touched.
-  if (const reuse::CachedResult* hit =
-          reuse_->Lookup(inv->reuse_key, sim_->Now())) {
+  if (const reuse::CachedResult* hit = reuse_->Lookup(key, sim_->Now())) {
     reuse_->RecordHit(inv->tenant, hit->exec_us);
     inv->served_via = ServedVia::kCacheHit;
     sim_->Schedule(0, [this, inv, status = hit->status,
@@ -292,7 +292,7 @@ bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
 
   // 3. Singleflight: attach to an identical in-flight execution, or become
   //    the leader whose completion fans out to every follower.
-  if (reuse_->flights().InFlight(inv->reuse_key)) {
+  if (reuse_->flights().InFlight(key)) {
     reuse::Follower f;
     f.id = inv->id;
     f.submit_us = inv->submit_us;
@@ -301,10 +301,10 @@ bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
       reuse_->RecordCoalesce(inv->tenant, r.exec_us);
       CompleteFromReuse(inv, r.status, r.output);
     };
-    reuse_->flights().Attach(inv->reuse_key, std::move(f));
+    reuse_->flights().Attach(key, std::move(f));
     return true;
   }
-  reuse_->flights().Lead(inv->reuse_key, inv->id);
+  reuse_->flights().Lead(key, inv->id);
   return false;
 }
 
@@ -456,6 +456,7 @@ void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
   }
 
   const uint64_t cid = container->id;
+  inv->running = container;
   container->inflight = inv;
   container->inflight_cold = cold;
   container->inflight_startup_us = startup_us;
@@ -468,6 +469,7 @@ void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
         Container* c = it->second.get();
         c->inflight_event = 0;
         c->inflight.reset();
+        inv->running = nullptr;
         FinishAttempt(std::move(inv), c, cold, startup_us, exec,
                       attempt_status, "");
       });
@@ -644,13 +646,13 @@ void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
   // Singleflight leader: offer the (successful, executed) result to the
   // cache under cost-aware admission, then fan it out to every coalesced
   // follower in attach order — one execution, one bill, N callbacks.
-  if (reuse_ != nullptr && executed && !inv->reuse_key.empty()) {
+  if (reuse_ != nullptr && executed && inv->reuse_key) {
     if (res.status.ok()) {
-      reuse_->Offer(inv->reuse_key,
+      reuse_->Offer(*inv->reuse_key,
                     reuse::CachedResult{res.status, res.output, res.exec_us},
                     sim_->Now());
     }
-    auto followers = reuse_->flights().Complete(inv->reuse_key);
+    auto followers = reuse_->flights().Complete(*inv->reuse_key);
     if (!followers.empty()) {
       const reuse::CachedResult shared{res.status, res.output, res.exec_us};
       for (auto& f : followers) f.deliver(shared);
@@ -771,6 +773,7 @@ FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
   StoppedAttempt a;
   a.inv = std::move(c->inflight);
   c->inflight.reset();
+  a.inv->running = nullptr;
   a.cold = c->inflight_cold;
   a.exec_us = std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
   // An attempt stopped mid-startup only burned part of its init; report the
@@ -826,27 +829,32 @@ SimDuration FaasPlatform::CancelInvocationInternal(uint64_t id,
              "");
     return 0;
   }
-  // Running on a container? Stop the attempt and return the (healthy)
-  // container to the warm pool.
-  for (auto& [cid, c] : containers_) {
-    if (c->inflight == nullptr || c->inflight->id != id) continue;
+  auto live_it = live_.find(id);
+  if (live_it == live_.end()) return -1;
+  auto inv = live_it->second.lock();
+  if (inv == nullptr) return -1;
+  // Running on a container? Stop the attempt. A container still in its
+  // cold start is destroyed: its init never finished, so it must not serve
+  // a warm start. A container past its init is healthy and returns to the
+  // warm pool.
+  if (Container* c = inv->running) {
+    const bool mid_init = c->inflight_cold && sim_->Now() < c->exec_began_us;
     Status cancel_status = Status::Cancelled(why);
-    StoppedAttempt a = StopAttempt(c.get(), cancel_status, /*killed=*/false);
-    ReleaseToWarmPool(c.get());
+    StoppedAttempt a = StopAttempt(c, cancel_status, /*killed=*/false);
+    if (mid_init) {
+      ForceDestroyContainer(c->id);
+      DrainPending();  // the freed slot may admit a queued invocation
+    } else {
+      ReleaseToWarmPool(c);
+    }
     Complete(std::move(a.inv), a.cold, a.startup_us, a.exec_us,
              std::move(cancel_status), "");
     return a.exec_us;
   }
   // Between events (dispatch delay or retry backoff): flag it; the next
   // Dispatch completes it Cancelled.
-  auto live_it = live_.find(id);
-  if (live_it != live_.end()) {
-    if (auto inv = live_it->second.lock()) {
-      inv->abandoned = true;
-      return 0;
-    }
-  }
-  return -1;
+  inv->abandoned = true;
+  return 0;
 }
 
 Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -176,10 +177,11 @@ class FaasPlatform {
                                 obs::TraceContext parent = {},
                                 guard::Deadline deadline = {});
 
-  /// Cancels a pending or in-flight invocation: it completes Cancelled,
-  /// any running attempt stops (billed for the execution burned so far)
-  /// and its container returns to the warm pool. False when the
-  /// invocation is unknown or already terminal.
+  /// Cancels a pending or in-flight invocation: it completes Cancelled and
+  /// any running attempt stops (billed for the execution burned so far).
+  /// Its container returns to the warm pool, unless the cancel lands
+  /// mid cold start: a container whose init never finished is destroyed.
+  /// False when the invocation is unknown or already terminal.
   bool CancelInvocation(uint64_t id);
 
   /// Convenience: invoke and run the simulation until this invocation
@@ -315,11 +317,14 @@ class FaasPlatform {
     obs::TraceContext root_ctx;  ///< "invoke:<fn>" span (invalid: untraced).
     guard::Deadline deadline;    ///< Client deadline (absolute; may be none).
     bool abandoned = false;      ///< Cancelled while between events.
-    /// Content-addressed reuse key; non-empty only for idempotent
-    /// invocations tracked by an attached reuse layer. An invocation with
-    /// a key and served_via == kExecution is a singleflight *leader*: its
-    /// completion offers the result to the cache and fans out to followers.
-    std::string reuse_key;
+    /// Container running the current attempt: set by StartOnContainer,
+    /// cleared when the attempt finishes or is stopped.
+    Container* running = nullptr;
+    /// Content-addressed reuse key; set only for idempotent invocations
+    /// tracked by an attached reuse layer. An invocation with a key and
+    /// served_via == kExecution is a singleflight *leader*: its completion
+    /// offers the result to the cache and fans out to followers.
+    std::optional<reuse::ContentKey> reuse_key;
     ServedVia served_via = ServedVia::kExecution;
     double approx_error_bound = 0.0;
   };

@@ -3,19 +3,25 @@
 // The paper's economic argument is that serverless platforms charge every
 // invocation as if it were novel work, while real traffic is heavily skewed
 // and repetitive. The cheapest capacity is the work you never redo: this
-// file holds the shared cache substrate — one LRU/TTL implementation that
-// backs both the content-addressed result cache (memoized idempotent
-// invocations, keyed by (function, payload hash)) and the chaos idempotency
-// cache (exactly-once replay under at-least-once delivery), which since E29
-// is a thin policy over it.
+// file holds the shared cache substrate — one LRU/TTL implementation,
+// BasicResultCache<Key, Hash>, with two key types:
+//   - ContentCache (ContentKey): the content-addressed result cache of
+//     memoized idempotent invocations, keyed by (function id, payload
+//     hash) — see reuse/content_key.h;
+//   - ResultCache (std::string): the chaos idempotency cache (exactly-once
+//     replay under at-least-once delivery), a thin policy over it.
 //
 // Design points:
 //   - First-writer-wins: Put() of an existing key refreshes recency and
 //     returns kDuplicate without touching the stored value — the semantics
 //     the idempotency path has relied on since E20.
 //   - Bounded two ways: by entry count (the idempotency shape) and by a
-//     byte budget (the result-cache shape; an entry costs its key + output
-//     bytes plus a fixed bookkeeping overhead).
+//     byte budget (the result-cache shape; an entry costs KeyBytes(key) +
+//     output bytes plus a fixed bookkeeping overhead).
+//   - Intrusive recency list: each slot links its newer and older
+//     neighbours and points at its own map key, so a hit relinks in O(1)
+//     and eviction and TTL sweeps read the oldest slot directly. An entry
+//     is one map node; the key is stored once.
 //   - TTL: entries older than `ttl_us` are dead on arrival at Lookup time
 //     (lazy, deterministic — no sweeper event needed) and are also swept
 //     before eviction decisions so stale entries never veto admission.
@@ -33,12 +39,13 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <string>
 #include <unordered_map>
 
 #include "common/status.h"
 #include "common/time_types.h"
+#include "reuse/content_key.h"
 
 namespace taureau::reuse {
 
@@ -69,26 +76,35 @@ struct ResultCacheConfig {
   bool cost_aware = false;
 };
 
+enum class PutOutcome { kInserted, kDuplicate, kRejected };
+
+/// Bytes a text key costs against the byte budget.
+inline size_t KeyBytes(const std::string& key) { return key.size(); }
+
 /// The shared LRU/TTL store. Single-threaded, like every per-shard module.
-class ResultCache {
+/// Slots point at each other and at their map keys, so the cache is
+/// neither copyable nor movable.
+template <typename Key, typename Hash = std::hash<Key>>
+class BasicResultCache {
  public:
   /// Fixed bookkeeping cost charged per entry against `max_bytes`.
   static constexpr size_t kEntryOverheadBytes = 64;
+  using PutOutcome = reuse::PutOutcome;
 
-  explicit ResultCache(ResultCacheConfig config = {}) : config_(config) {}
-
-  enum class PutOutcome { kInserted, kDuplicate, kRejected };
+  explicit BasicResultCache(ResultCacheConfig config = {}) : config_(config) {}
+  BasicResultCache(const BasicResultCache&) = delete;
+  BasicResultCache& operator=(const BasicResultCache&) = delete;
 
   /// The live entry for `key`, or nullptr (absent or expired). A hit
   /// refreshes recency; an expired entry is erased and counted. The
   /// pointer is valid until the next mutating call.
-  const CachedResult* Lookup(const std::string& key, SimTime now_us);
+  const CachedResult* Lookup(const Key& key, SimTime now_us);
 
   /// Inserts `value` (stamping stored_at_us = now_us). First writer wins:
   /// an existing live key counts a duplicate and keeps the original.
   /// Cost-aware caches may reject the insert instead of evicting a more
   /// valuable victim.
-  PutOutcome Put(const std::string& key, CachedResult value, SimTime now_us);
+  PutOutcome Put(const Key& key, CachedResult value, SimTime now_us);
 
   /// Re-bounds the cache (0 = unbounded), evicting LRU entries as needed.
   void SetLimits(size_t max_bytes, size_t max_entries);
@@ -106,22 +122,28 @@ class ResultCache {
   uint64_t rejected_admissions() const { return rejected_admissions_; }
 
  private:
+  /// One entry and its place in the recency list. `key` points at the
+  /// map's own copy; map nodes never move, so it stays valid until the
+  /// entry is erased.
   struct Slot {
     CachedResult entry;
     size_t bytes = 0;
-    std::list<std::string>::iterator lru_it;
+    Slot* newer = nullptr;
+    Slot* older = nullptr;
+    const Key* key = nullptr;
   };
-  using Map = std::unordered_map<std::string, Slot>;
+  using Map = std::unordered_map<Key, Slot, Hash>;
 
-  static size_t EntryBytes(const std::string& key, const CachedResult& e) {
-    return key.size() + e.output.size() + kEntryOverheadBytes;
-  }
   bool Expired(const Slot& slot, SimTime now_us) const {
     return config_.ttl_us > 0 &&
            now_us - slot.entry.stored_at_us >= config_.ttl_us;
   }
-  void Touch(Slot& slot) { lru_.splice(lru_.begin(), lru_, slot.lru_it); }
-  void Erase(Map::iterator it);
+  void LinkNewest(Slot* slot);
+  void Unlink(Slot* slot);
+  void Touch(Slot* slot);
+  void Erase(typename Map::iterator it);
+  /// Erases the least recently used entry (the list's oldest end).
+  void EraseOldest() { Erase(entries_.find(*oldest_->key)); }
   /// Drops expired entries from the LRU tail (cheap pre-pass so stale
   /// entries never win an admission comparison).
   void SweepExpiredTail(SimTime now_us);
@@ -129,8 +151,8 @@ class ResultCache {
 
   ResultCacheConfig config_;
   Map entries_;
-  /// Front = most recently used; back = next eviction candidate.
-  std::list<std::string> lru_;
+  Slot* newest_ = nullptr;  ///< Most recently used.
+  Slot* oldest_ = nullptr;  ///< Next eviction candidate.
   size_t bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
@@ -139,5 +161,13 @@ class ResultCache {
   uint64_t expirations_ = 0;
   uint64_t rejected_admissions_ = 0;
 };
+
+/// The idempotency cache's substrate (chaos::IdempotencyCache).
+using ResultCache = BasicResultCache<std::string>;
+/// The reuse layer's content-addressed result cache.
+using ContentCache = BasicResultCache<ContentKey, ContentKeyHash>;
+
+extern template class BasicResultCache<std::string>;
+extern template class BasicResultCache<ContentKey, ContentKeyHash>;
 
 }  // namespace taureau::reuse

@@ -8,16 +8,7 @@ namespace taureau::reuse {
 
 namespace {
 constexpr char kKeySeparator = '\x1f';  // ASCII unit separator.
-
-std::string Hex16(uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[size_t(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
+constexpr size_t kHashDigits = 16;
 }  // namespace
 
 ReuseLayer::ReuseLayer(ReuseConfig config)
@@ -31,35 +22,50 @@ ReuseLayer::ReuseLayer(ReuseConfig config)
   BindMetrics();
 }
 
-std::string ReuseLayer::Key(const std::string& function,
-                            const std::string& payload) {
-  std::string key;
-  key.reserve(function.size() + 17);
-  key += function;
-  key += kKeySeparator;
-  key += Hex16(Fnv1a64(payload));
-  return key;
+ContentKey ReuseLayer::KeyFor(const std::string& function,
+                              std::string_view payload) {
+  auto it = function_ids_.find(function);
+  if (it == function_ids_.end()) {
+    it = function_ids_.emplace(function, uint32_t(function_names_.size()))
+             .first;
+    function_names_.push_back(function);
+  }
+  return ContentKey{it->second,
+                    uint32_t(function.size() + 1 + kHashDigits),
+                    Fnv1a64(payload)};
 }
 
-void ReuseLayer::NoteRequest(const std::string& key) {
-  popularity_.Add(key);
-  hot_keys_.Add(key);
+std::string_view ReuseLayer::KeyText(const ContentKey& key) const {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  key_text_ = function_names_[key.function];
+  key_text_ += kKeySeparator;
+  const size_t base = key_text_.size();
+  key_text_.resize(base + kHashDigits);
+  uint64_t v = key.payload_hash;
+  for (size_t i = kHashDigits; i-- > 0; v >>= 4) {
+    key_text_[base + i] = kDigits[v & 0xF];
+  }
+  return key_text_;
 }
 
-ResultCache::PutOutcome ReuseLayer::Offer(const std::string& key,
-                                          CachedResult result,
-                                          SimTime now_us) {
+void ReuseLayer::NoteRequest(const ContentKey& key) {
+  const std::string_view text = KeyText(key);
+  popularity_.Add(text);
+  hot_keys_.Add(text);
+}
+
+PutOutcome ReuseLayer::Offer(const ContentKey& key, CachedResult result,
+                             SimTime now_us) {
   result.recurrence = std::max<uint64_t>(1, Recurrence(key));
-  const ResultCache::PutOutcome outcome =
-      cache_.Put(key, std::move(result), now_us);
+  const PutOutcome outcome = cache_.Put(key, std::move(result), now_us);
   switch (outcome) {
-    case ResultCache::PutOutcome::kInserted:
+    case PutOutcome::kInserted:
       h_.cache_admitted.Inc();
       break;
-    case ResultCache::PutOutcome::kRejected:
+    case PutOutcome::kRejected:
       h_.cache_rejected.Inc();
       break;
-    case ResultCache::PutOutcome::kDuplicate:
+    case PutOutcome::kDuplicate:
       break;
   }
   SyncCacheGauges();
@@ -227,7 +233,7 @@ ReuseLayer::TenantHandles& ReuseLayer::TenantMetrics(
 void ReuseLayer::SyncCacheGauges() {
   h_.cache_bytes.Set(double(cache_.bytes()));
   h_.cache_entries.Set(double(cache_.size()));
-  // Evictions/expirations are counted inside ResultCache; mirror them so
+  // Evictions/expirations are counted inside the cache; mirror them so
   // the registry export carries them (Set, not Inc — idempotent).
   const uint64_t ev = cache_.evictions();
   const uint64_t ex = cache_.expirations();

@@ -3,11 +3,11 @@
 // ReuseLayer bundles the three reuse paths the platform consults on every
 // idempotent invocation, in priority order:
 //
-//   1. *Result cache hit*: a content-addressed cache keyed by
-//      (function, payload hash) with TTL, a byte budget, and cost-aware
-//      admission — admit by observed exec-time x recurrence (estimated by
-//      a CountMin sketch over request keys), so one-hit wonders never
-//      evict hot expensive results.
+//   1. *Result cache hit*: a content-addressed cache keyed by a 16-byte
+//      ContentKey — (function id, payload hash) — with TTL, a byte budget,
+//      and cost-aware admission — admit by observed exec-time x recurrence
+//      (estimated by a CountMin sketch over request keys), so one-hit
+//      wonders never evict hot expensive results.
 //   2. *Approximation fallback*: when the SLO burn rate crosses a live
 //      threshold ("reuse.approx.burn_threshold", a ctrl knob — so the
 //      degradation mode is canary-rollable and auto-rollback-able), a
@@ -17,6 +17,14 @@
 //   3. *Singleflight coalescing*: concurrent identical requests attach to
 //      the one in-flight execution and fan out on completion —
 //      single-billed, per-follower spans.
+//
+// Keys are values, not text: the layer interns each function name once and
+// hashes the payload, so the cache and the singleflight group store 16
+// bytes per key and a miss allocates only their two map nodes. The text
+// form (function + 0x1f + 16 hex digits) exists only as KeyText, rendered
+// into a reused buffer as the input of the recurrence sketches, so
+// estimates, admission and the hot-key report read the same strings as
+// before keys were values.
 //
 // The layer owns the policy state (cache, sketches, burn gate, live knobs)
 // and the "reuse.*" metrics (aggregate + per-tenant labeled, pre-resolved
@@ -30,13 +38,16 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/time_types.h"
 #include "ctrl/config.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/slo.h"
+#include "reuse/content_key.h"
 #include "reuse/result_cache.h"
 #include "reuse/singleflight.h"
 #include "sketch/countmin.h"
@@ -90,41 +101,45 @@ class ReuseLayer {
   ReuseLayer(const ReuseLayer&) = delete;
   ReuseLayer& operator=(const ReuseLayer&) = delete;
 
-  /// Content-addressed cache key: function + 0x1f + 16-hex payload hash.
-  /// Payload bytes are hashed, never stored, so key size is independent of
-  /// payload size.
-  static std::string Key(const std::string& function,
-                         const std::string& payload);
+  /// Content-addressed key for `payload` run by `function`: the
+  /// function's interned id and Fnv1a64(payload). Payload bytes are
+  /// hashed, never stored, so key size is independent of payload size.
+  ContentKey KeyFor(const std::string& function, std::string_view payload);
+
+  /// The key's text form, function + 0x1f + 16 hex digits: what the
+  /// recurrence sketches count and HotKeys reports. Rendered into a buffer
+  /// the layer reuses, so the view is valid until the next KeyText call.
+  std::string_view KeyText(const ContentKey& key) const;
 
   const ReuseConfig& config() const { return config_; }
   bool enabled() const { return enabled_; }
   double approx_burn_threshold() const { return approx_burn_threshold_; }
 
-  ResultCache& cache() { return cache_; }
-  const ResultCache& cache() const { return cache_; }
+  ContentCache& cache() { return cache_; }
+  const ContentCache& cache() const { return cache_; }
   Singleflight& flights() { return flights_; }
   const Singleflight& flights() const { return flights_; }
 
   /// Feeds the recurrence sketches. Call once per arriving request,
   /// before Lookup, so the estimate covers the full request stream.
-  void NoteRequest(const std::string& key);
+  void NoteRequest(const ContentKey& key);
 
   /// CountMin recurrence estimate for a key (never undercounts).
-  uint64_t Recurrence(const std::string& key) const {
-    return popularity_.EstimateCount(key);
+  uint64_t Recurrence(const ContentKey& key) const {
+    return popularity_.EstimateCount(KeyText(key));
   }
 
   /// Cache lookup at `now` (TTL-aware). Does not bump reuse.hit/miss
   /// metrics — the platform records those with tenant attribution.
-  const CachedResult* Lookup(const std::string& key, SimTime now_us) {
+  const CachedResult* Lookup(const ContentKey& key, SimTime now_us) {
     return cache_.Lookup(key, now_us);
   }
 
   /// Offers a finished execution's result to the cache under cost-aware
   /// admission (recurrence is stamped from the sketch) and maintains the
   /// admitted/rejected/eviction metrics.
-  ResultCache::PutOutcome Offer(const std::string& key, CachedResult result,
-                                SimTime now_us);
+  PutOutcome Offer(const ContentKey& key, CachedResult result,
+                   SimTime now_us);
 
   // ------------------------------------------------------ approximation
   /// A degraded-mode answer: `output` plus the guaranteed error bound the
@@ -194,7 +209,12 @@ class ReuseLayer {
   ReuseConfig config_;
   bool enabled_ = true;
   double approx_burn_threshold_ = 0.0;
-  ResultCache cache_;
+  /// Interned function names, indexed by ContentKey::function.
+  std::vector<std::string> function_names_;
+  std::unordered_map<std::string, uint32_t> function_ids_;
+  /// KeyText's reused render buffer.
+  mutable std::string key_text_;
+  ContentCache cache_;
   Singleflight flights_;
   sketch::CountMinSketch popularity_;
   sketch::SpaceSaving hot_keys_;

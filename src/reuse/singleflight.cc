@@ -4,7 +4,7 @@
 
 namespace taureau::reuse {
 
-bool Singleflight::Lead(const std::string& key, uint64_t leader_id) {
+bool Singleflight::Lead(const ContentKey& key, uint64_t leader_id) {
   auto [it, inserted] = flights_.try_emplace(key);
   if (!inserted) return false;
   it->second.leader_id = leader_id;
@@ -12,7 +12,7 @@ bool Singleflight::Lead(const std::string& key, uint64_t leader_id) {
   return true;
 }
 
-bool Singleflight::Attach(const std::string& key, Follower follower) {
+bool Singleflight::Attach(const ContentKey& key, Follower follower) {
   auto it = flights_.find(key);
   if (it == flights_.end()) return false;
   it->second.followers.push_back(std::move(follower));
@@ -21,7 +21,7 @@ bool Singleflight::Attach(const std::string& key, Follower follower) {
   return true;
 }
 
-std::vector<Follower> Singleflight::Complete(const std::string& key) {
+std::vector<Follower> Singleflight::Complete(const ContentKey& key) {
   auto it = flights_.find(key);
   if (it == flights_.end()) return {};
   std::vector<Follower> out = std::move(it->second.followers);

@@ -9,10 +9,10 @@ SpaceSaving::SpaceSaving(size_t capacity)
 
 void SpaceSaving::Add(std::string_view item, uint64_t count) {
   total_ += count;
-  Offer(std::string(item), count, 0);
+  Offer(item, count, 0);
 }
 
-void SpaceSaving::Offer(const std::string& item, uint64_t count,
+void SpaceSaving::Offer(std::string_view item, uint64_t count,
                         uint64_t error) {
   auto it = counters_.find(item);
   if (it != counters_.end()) {
@@ -20,17 +20,21 @@ void SpaceSaving::Offer(const std::string& item, uint64_t count,
     return;
   }
   if (counters_.size() < capacity_) {
-    counters_.emplace(item, Counter{count, error});
+    counters_.emplace(std::string(item), Counter{count, error});
     return;
   }
   // Evict the minimum counter; the newcomer inherits its count as error.
+  // Its node is reused: re-keyed in place and reinserted, so eviction
+  // allocates only when the new item outgrows the old key's buffer.
   auto min_it = counters_.begin();
   for (auto c = counters_.begin(); c != counters_.end(); ++c) {
     if (c->second.count < min_it->second.count) min_it = c;
   }
-  const uint64_t min_count = min_it->second.count;
-  counters_.erase(min_it);
-  counters_.emplace(item, Counter{min_count + count, min_count + error});
+  auto node = counters_.extract(min_it);
+  const uint64_t min_count = node.mapped().count;
+  node.key().assign(item);
+  node.mapped() = Counter{min_count + count, min_count + error};
+  counters_.insert(std::move(node));
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::HeavyHitters(
@@ -60,7 +64,7 @@ std::vector<SpaceSaving::Entry> SpaceSaving::GuaranteedHeavyHitters(
 }
 
 uint64_t SpaceSaving::EstimateCount(std::string_view item) const {
-  auto it = counters_.find(std::string(item));
+  auto it = counters_.find(item);
   return it == counters_.end() ? 0 : it->second.count;
 }
 

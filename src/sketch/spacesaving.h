@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -43,16 +43,27 @@ class SpaceSaving {
   uint64_t total() const { return total_; }
 
  private:
-  void Offer(const std::string& item, uint64_t count, uint64_t error);
+  void Offer(std::string_view item, uint64_t count, uint64_t error);
+
+  /// std::hash<std::string_view>, which hashes a std::string to the same
+  /// value: lookups by view build no temporary string.
+  struct ItemHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view item) const noexcept {
+      return std::hash<std::string_view>{}(item);
+    }
+  };
 
   size_t capacity_;
   uint64_t total_ = 0;
-  // item -> (count, error). A multimap from count orders eviction.
+  // item -> (count, error). Eviction scans for the minimum count (the
+  // first minimum in iteration order wins a tie) and reuses its node.
   struct Counter {
     uint64_t count;
     uint64_t error;
   };
-  std::unordered_map<std::string, Counter> counters_;
+  std::unordered_map<std::string, Counter, ItemHash, std::equal_to<>>
+      counters_;
 };
 
 }  // namespace taureau::sketch

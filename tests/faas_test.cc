@@ -487,7 +487,7 @@ TEST(FaasPlatformTest, CancelDuringDispatchDelayCompletesAtDispatch) {
   EXPECT_EQ(f.platform->active_containers(), 0u);
 }
 
-TEST(FaasPlatformTest, CancelMidColdStartBillsNoExecAndKeepsContainer) {
+TEST(FaasPlatformTest, CancelMidColdStartBillsNoExecAndDestroysContainer) {
   TracedFixture f;
   const FunctionSpec spec = f.SimpleSpec("fn", 10 * kSecond);
   ASSERT_TRUE(f.platform->RegisterFunction(spec).ok());
@@ -498,9 +498,9 @@ TEST(FaasPlatformTest, CancelMidColdStartBillsNoExecAndKeepsContainer) {
   const SimTime stop_us = 50 * kMillisecond;  // startup takes >= 100 ms
   f.sim.ScheduleAt(stop_us, [&] {
     EXPECT_TRUE(f.platform->CancelInvocation(*id));
-    // The container is healthy: it returns to the warm pool.
-    EXPECT_EQ(f.platform->active_containers(), 1u);
-    EXPECT_EQ(f.platform->warm_container_count("fn"), 1u);
+    // Its init never finished: the container is destroyed, not pooled.
+    EXPECT_EQ(f.platform->active_containers(), 0u);
+    EXPECT_EQ(f.platform->warm_container_count("fn"), 0u);
   });
   f.sim.Run();
   ASSERT_TRUE(res.has_value());
@@ -518,6 +518,10 @@ TEST(FaasPlatformTest, CancelMidColdStartBillsNoExecAndKeepsContainer) {
   EXPECT_EQ(f.platform->metrics().failures, 0u);
   EXPECT_EQ(f.platform->metrics().exec_latency_us.count(), 1u);
   ExpectStoppedAttemptSpans(f, *res, stop_us);
+  // The next invocation pays a cold start of its own.
+  auto next = f.platform->InvokeSync("fn", "");
+  ASSERT_TRUE(next.ok());
+  EXPECT_TRUE(next->cold_start);
 }
 
 TEST(FaasPlatformTest, CancelMidExecBillsElapsedExecOnly) {

@@ -37,6 +37,7 @@ namespace taureau {
 namespace {
 
 using reuse::CachedResult;
+using reuse::ContentKey;
 using reuse::ResultCache;
 using reuse::ResultCacheConfig;
 using reuse::ReuseConfig;
@@ -178,24 +179,25 @@ TEST(ResultCacheTest, ReplayIsDeterministic) {
 
 TEST(SingleflightTest, LeadAttachCompleteInOrder) {
   Singleflight sf;
-  EXPECT_TRUE(sf.Lead("k", 1));
-  EXPECT_FALSE(sf.Lead("k", 2));  // One leader per key.
-  EXPECT_TRUE(sf.InFlight("k"));
+  const ContentKey k{/*function=*/0, /*text_bytes=*/18, /*payload_hash=*/7};
+  EXPECT_TRUE(sf.Lead(k, 1));
+  EXPECT_FALSE(sf.Lead(k, 2));  // One leader per key.
+  EXPECT_TRUE(sf.InFlight(k));
   std::vector<uint64_t> delivered;
   for (uint64_t id = 10; id < 13; ++id) {
     EXPECT_TRUE(sf.Attach(
-        "k", {id, SimTime(id), [&delivered, id](const CachedResult&) {
+        k, {id, SimTime(id), [&delivered, id](const CachedResult&) {
                 delivered.push_back(id);
               }}));
   }
-  auto followers = sf.Complete("k");
+  auto followers = sf.Complete(k);
   ASSERT_EQ(followers.size(), 3u);
   const CachedResult result{Status::OK(), "out"};
   for (auto& f : followers) f.deliver(result);
   EXPECT_EQ(delivered, (std::vector<uint64_t>{10, 11, 12}));
-  EXPECT_FALSE(sf.InFlight("k"));
-  EXPECT_TRUE(sf.Complete("k").empty());   // Closed flights stay closed.
-  EXPECT_FALSE(sf.Attach("k", {99, 0, nullptr}));  // No leader, no attach.
+  EXPECT_FALSE(sf.InFlight(k));
+  EXPECT_TRUE(sf.Complete(k).empty());   // Closed flights stay closed.
+  EXPECT_FALSE(sf.Attach(k, {99, 0, nullptr}));  // No leader, no attach.
   EXPECT_EQ(sf.leaders(), 1u);
   EXPECT_EQ(sf.followers_attached(), 3u);
   EXPECT_EQ(sf.max_fanout(), 3u);
@@ -204,17 +206,18 @@ TEST(SingleflightTest, LeadAttachCompleteInOrder) {
 // -------------------------------------------------------------- ReuseLayer
 
 TEST(ReuseLayerTest, KeyIsContentAddressedAndBounded) {
-  const std::string small = ReuseLayer::Key("fn", "p");
-  const std::string large = ReuseLayer::Key("fn", std::string(1 << 20, 'p'));
-  EXPECT_EQ(ReuseLayer::Key("fn", "p"), small);       // Same content, same key.
-  EXPECT_NE(ReuseLayer::Key("fn", "q"), small);       // Content-addressed.
-  EXPECT_NE(ReuseLayer::Key("fn2", "p"), small);      // Function-scoped.
-  EXPECT_EQ(small.size(), large.size());              // Hash, not payload.
+  ReuseLayer layer;
+  const ContentKey small = layer.KeyFor("fn", "p");
+  const ContentKey large = layer.KeyFor("fn", std::string(1 << 20, 'p'));
+  EXPECT_EQ(layer.KeyFor("fn", "p"), small);          // Same content, same key.
+  EXPECT_NE(layer.KeyFor("fn", "q"), small);          // Content-addressed.
+  EXPECT_NE(layer.KeyFor("fn2", "p"), small);         // Function-scoped.
+  EXPECT_EQ(KeyBytes(small), KeyBytes(large));        // Hash, not payload.
 }
 
 TEST(ReuseLayerTest, RecurrenceNeverUndercounts) {
   ReuseLayer layer;
-  const std::string key = ReuseLayer::Key("fn", "hot");
+  const ContentKey key = layer.KeyFor("fn", "hot");
   for (int i = 0; i < 7; ++i) layer.NoteRequest(key);
   EXPECT_GE(layer.Recurrence(key), 7u);  // CountMin one-sided error.
   // Offer stamps the sketch's recurrence estimate onto the entry.
@@ -224,7 +227,7 @@ TEST(ReuseLayerTest, RecurrenceNeverUndercounts) {
   EXPECT_GE(e->recurrence, 7u);
   auto hot = layer.HotKeys();
   ASSERT_FALSE(hot.empty());
-  EXPECT_EQ(hot[0].item, key);
+  EXPECT_EQ(hot[0].item, layer.KeyText(key));
 }
 
 TEST(ReuseLayerTest, ApproxGateFollowsBurnRate) {
@@ -288,7 +291,7 @@ TEST(ReuseLayerTest, LiveKnobsApplyThroughCtrl) {
   layer.AttachControl(&svc);
   // Fill the cache, then shrink the byte budget live: entries evict.
   for (int i = 0; i < 64; ++i) {
-    layer.Offer(ReuseLayer::Key("fn", std::to_string(i)),
+    layer.Offer(layer.KeyFor("fn", std::to_string(i)),
                 {Status::OK(), std::string(1024, 'v'), 100}, 0);
   }
   ASSERT_EQ(layer.cache().size(), 64u);
@@ -614,8 +617,8 @@ struct ReuseWorld {
 void ReuseHop(ReuseWorld* w, psim::ShardId s, int remaining) {
   ReuseShard& st = w->state[s];
   ReuseLayer& layer = *st.layer;
-  const std::string key =
-      ReuseLayer::Key("fn", "p" + std::to_string(st.rng.NextBounded(12)));
+  const ContentKey key =
+      layer.KeyFor("fn", "p" + std::to_string(st.rng.NextBounded(12)));
   const std::string tenant = "t" + std::to_string(st.rng.NextBounded(3));
   const SimTime now = w->world.shard(s).Now();
   layer.NoteRequest(key);
@@ -669,7 +672,7 @@ std::string RunReuseStorm(uint64_t seed, uint32_t shards, unsigned threads) {
   std::string counters;
   for (uint32_t s = 0; s < shards; ++s) {
     regs.push_back(&w.state[s].obs->registry);
-    const ResultCache& c = w.state[s].layer->cache();
+    const reuse::ContentCache& c = w.state[s].layer->cache();
     counters += "shard " + std::to_string(s) + ": h=" +
                 std::to_string(c.hits()) + " m=" + std::to_string(c.misses()) +
                 " ev=" + std::to_string(c.evictions()) + " ex=" +
